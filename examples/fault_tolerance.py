@@ -1,16 +1,21 @@
 """Fault-tolerant pricing: retries, quarantine, and transport recovery.
 
-A pricing service at production scale sees crashed workers, hung
+A pricing service at production scale sees failing calls, hung
 chunks, NaN market data and failed host<->device transfers as routine
 events — the data-centre FPGA deployment literature treats recoverable
 transport errors as a first-class concern, and the paper's own kernel
 IV.A discussion is a story about host/device interaction fragility.
 This example drives every failure mode deterministically:
 
-1. a transient worker fault healed by retry (prices stay bit-identical),
+1. a transient pricing fault healed by retry (prices stay
+   bit-identical),
 2. a poison option isolated by quarantine bisection — the other N-1
    prices still bit-identical, the failure reported structurally,
-3. a simulated PCIe transfer fault on the OpenCL command queue,
+3. a hung chunk on the engine's threads, given up at the chunk
+   timeout — a thread cannot be preempted, so its options come back
+   NaN with ChunkTimeoutError records instead of being retried
+   (process isolation and restarts belong to the sharded serving tier),
+4. a simulated PCIe transfer fault on the OpenCL command queue,
    recovered with a seeded retry/backoff policy.
 
 Run:  python examples/fault_tolerance.py
@@ -49,7 +54,7 @@ def main() -> None:
     with PricingEngine(kernel="iv_b", config=config, faults=plan) as engine:
         print(f"\n{engine.describe()}")
         healed = engine.run(options, steps=STEPS)
-    print(f"Transient worker fault: {healed.stats.describe()}")
+    print(f"Transient pricing fault: {healed.stats.describe()}")
     assert np.array_equal(healed.prices, reference)
     print("  -> retried and bit-identical, no failures reported")
 
@@ -70,7 +75,25 @@ def main() -> None:
     print(f"  -> {mask.sum()} of {len(options)} prices bit-identical; the "
           f"poison option came back NaN instead of failing the batch")
 
-    # -- 3. transport fault on the simulated OpenCL queue ------------------
+    # -- 3. hung chunk: given up at the timeout ---------------------------
+    plan = FaultPlan(specs=(
+        FaultSpec(option_index=3, kind=FaultKind.HANG, hang_s=0.5),
+    ))
+    threaded = EngineConfig(workers=2, chunk_options=16,
+                            chunk_timeout_s=0.1, backoff_base_s=0.001)
+    with PricingEngine(kernel="iv_b", config=threaded,
+                       faults=plan) as engine:
+        hung = engine.run(options, steps=STEPS)
+    print(f"\nHung chunk on 2 threads: {hung.stats.describe()}")
+    given_up = [record.index for record in hung.failures]
+    print(f"  options {given_up[0]}..{given_up[-1]}: "
+          f"{hung.failures[0].error}")
+    assert given_up == list(range(16))
+    assert np.array_equal(hung.prices[16:], reference[16:])
+    print(f"  -> the other {len(options) - 16} prices bit-identical; the "
+          f"hung thread's late result is dropped")
+
+    # -- 4. transport fault on the simulated OpenCL queue ------------------
     device = Device("demo", DeviceType.ACCELERATOR, compute_units=2,
                     max_work_group_size=256)
     injector = TransportFaultInjector(seed=7, fail_transfers=(0,))

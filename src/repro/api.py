@@ -213,13 +213,13 @@ class PricingRequest:
         the result is built; ``False`` returns NaN plus
         :class:`FailureRecord` entries.  Not part of the batch/cache
         identity — it only affects how *this* caller sees failures.
-    :param workers: preferred engine worker count (``None`` = engine
+    :param workers: preferred engine thread count (``None`` = engine
         default).  Advisory: the service and the shared-engine path
         run on an engine they own, so this only shapes dedicated
         engines.  Not part of the batch/cache identity.
     :param backend: which kernel backend prices the request —
-        ``"auto"`` (default; fastest available), ``"numpy"``,
-        ``"cnative"`` or ``"numba"``.  Backends are bit-identical, so
+        ``"auto"`` (default; fastest available), ``"numpy"`` or
+        ``"cnative"``.  Backends are bit-identical, so
         this is a scheduling preference, not a numerical one; it *is*
         part of the batch identity (requests coalesce per backend so
         each merged flush runs on the engine the caller asked for) but
@@ -748,7 +748,7 @@ def close_shared_engines() -> int:
 
     Safe to call at any time — the next :func:`price`/:func:`greeks`
     call simply builds a fresh shared engine.  Also registered with
-    :mod:`atexit`, so interpreter shutdown never leaks worker pools
+    :mod:`atexit`, so interpreter shutdown never leaks engine threads
     even when the caller forgets; calling it manually first is fine
     (the registry empties, the atexit pass closes zero engines).
     """
@@ -830,8 +830,8 @@ def price(
     :param family: lattice parameterisation.
     :param precision: ``"double"`` or ``"single"``.
     :param backend: kernel backend for the engine route — ``"auto"``
-        (fastest available), ``"numpy"``, ``"cnative"`` or
-        ``"numba"``.  Bit-identical prices either way; overrides the
+        (fastest available), ``"numpy"`` or ``"cnative"``.
+        Bit-identical prices either way; overrides the
         backend of an explicit ``config`` when not ``"auto"``.
     :param tracer: optional :class:`repro.obs.trace.Tracer` observing
         the engine run (``None`` = tracing disabled).  Forces a

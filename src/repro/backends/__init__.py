@@ -3,16 +3,14 @@
 The :class:`KernelBackend` interface (see :mod:`.base`) isolates the
 Equation (1) backward recurrence — the part of the paper's kernels
 IV.A/IV.B below the leaves — so it can run as interpreted NumPy
-(:mod:`.numpy_backend`, the always-available reference), as
-runtime-compiled C (:mod:`.cnative`), or through numba
-(:mod:`.numba_backend`, optional ``[compiled]`` extra).  All three
-are bit-identical by construction; :mod:`.registry` owns selection
+(:mod:`.numpy_backend`, the always-available reference) or as
+runtime-compiled C (:mod:`.cnative`).  The two are bit-identical by
+construction; :mod:`.registry` owns selection
 (``EngineConfig.backend``, ``REPRO_BACKEND``).
 """
 
 from .base import KernelBackend
 from .cnative import CNativeBackend
-from .numba_backend import NumbaBackend
 from .numpy_backend import NumpyBackend
 from .registry import (
     AUTO_ORDER,
@@ -26,7 +24,6 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "CNativeBackend",
-    "NumbaBackend",
     "BACKENDS",
     "AUTO_ORDER",
     "get_backend",

@@ -15,7 +15,7 @@ and returns float64 prices (and, on request, the captured level-1/2
 value rows that the lattice greeks formulas consume).  Because every
 operation in the recurrence is elementwise with a fixed per-element
 operation order, any backend that preserves that order — the NumPy
-tile loop, the compiled per-option C loop, the numba kernels — is
+tile loop or the compiled per-option C loop — is
 **bitwise identical** to every other; the ``tests/backends`` suite
 holds them to ``rtol=0``.
 """
@@ -48,8 +48,7 @@ class KernelBackend(abc.ABC):
     (compiled backends fuse the capture into their kernel but must
     produce values bit-identical to the reference helper).
 
-    :cvar name: registry identifier (``"numpy"``, ``"cnative"``,
-        ``"numba"``).
+    :cvar name: registry identifier (``"numpy"`` or ``"cnative"``).
     :cvar compiled: True when the backend runs machine code generated
         at runtime (its first use pays a compilation cost, reported
         via :attr:`compile_seconds`).
@@ -59,9 +58,8 @@ class KernelBackend(abc.ABC):
     compiled: bool = False
 
     #: Wall-clock seconds this process spent making the backend's
-    #: kernels executable (codegen + compiler + load for ``cnative``,
-    #: ``@njit`` warm-up for ``numba``; 0.0 for the interpreted NumPy
-    #: path).  Flows into ``EngineStats.backend_compile_seconds``.
+    #: kernels executable (codegen + compiler + load for ``cnative``;
+    #: 0.0 for the interpreted NumPy path).  Flows into ``EngineStats.backend_compile_seconds``.
     compile_seconds: float = 0.0
 
     @classmethod

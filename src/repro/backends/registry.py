@@ -11,15 +11,13 @@ Two entry points with deliberately different contracts:
   ``REPRO_BACKEND`` environment variable, when set, replaces the
   requested name outright (the operator's override beats the
   program's choice); ``auto`` walks the preference order
-  ``numba > cnative > numpy``, swallowing unavailability, and always
-  lands on NumPy — the floor that needs nothing but this library's
-  hard dependencies.  Each skipped candidate is *recorded*: a bump of
-  the process-wide ``repro_backend_fallback_total`` counter on every
-  resolution, plus one :class:`RuntimeWarning` per process when the
-  resolution landed on NumPy — a missing toolchain degrades loudly
-  instead of silently costing 10x throughput, while the common
-  numba-extra-not-installed case (landing on the compiled cnative
-  backend) stays quiet.
+  ``cnative > numpy``, swallowing unavailability, and always lands on
+  NumPy — the floor that needs nothing but this library's hard
+  dependencies.  Each skipped candidate is *recorded*: a bump of the
+  process-wide ``repro_backend_fallback_total`` counter on every
+  resolution, plus one :class:`RuntimeWarning` per process — a missing
+  toolchain degrades loudly instead of silently costing 10x
+  throughput.
 
 Instances are cached per process (compiled backends pay their
 compilation once), and so are construction *failures*, so ``auto``
@@ -34,21 +32,19 @@ import warnings
 from ..errors import BackendUnavailableError, ReproError
 from .base import KernelBackend
 from .cnative import CNativeBackend
-from .numba_backend import NumbaBackend
 from .numpy_backend import NumpyBackend
 
 __all__ = ["BACKENDS", "AUTO_ORDER", "get_backend", "resolve_backend",
            "available_backends"]
 
 #: Valid values of ``EngineConfig.backend`` / ``REPRO_BACKEND``.
-BACKENDS = ("auto", "numpy", "numba", "cnative")
+BACKENDS = ("auto", "numpy", "cnative")
 
 #: Preference order ``auto`` walks (first available wins).
-AUTO_ORDER = ("numba", "cnative", "numpy")
+AUTO_ORDER = ("cnative", "numpy")
 
 _CLASSES = {
     "numpy": NumpyBackend,
-    "numba": NumbaBackend,
     "cnative": CNativeBackend,
 }
 
@@ -57,19 +53,15 @@ _failures: "dict[str, BackendUnavailableError]" = {}
 _fallbacks_warned: "set[str]" = set()
 
 
-def _record_fallback(candidate: str, exc: BackendUnavailableError,
-                     landed: str) -> None:
-    """Make an ``auto`` skip observable: count always, warn on numpy.
+def _record_fallback(candidate: str, exc: BackendUnavailableError) -> None:
+    """Make an ``auto`` skip observable: count always, warn once.
 
     ``auto`` swallowing unavailability is the right *behaviour* (the
     service keeps answering), but a silently missing toolchain is how
     a 10x performance regression ships unnoticed.  Every skip bumps
     the process-wide ``repro_backend_fallback_total`` counter
-    (labelled by the skipped backend).  The :class:`RuntimeWarning`
-    (once per process per candidate) only fires when the resolution
-    *landed on the interpreted floor*: numba being an optional extra,
-    warning on every numba->cnative landing would train operators to
-    ignore the signal that matters — compiled throughput lost.
+    (labelled by the skipped backend); the :class:`RuntimeWarning`
+    fires once per process per candidate.
     """
     from ..obs.keys import BACKEND_FALLBACK_TOTAL
     from ..obs.metrics import get_registry
@@ -78,7 +70,7 @@ def _record_fallback(candidate: str, exc: BackendUnavailableError,
         BACKEND_FALLBACK_TOTAL,
         "auto backend resolutions that skipped an unavailable backend",
     ).inc(backend=candidate)
-    if landed == "numpy" and candidate not in _fallbacks_warned:
+    if candidate not in _fallbacks_warned:
         _fallbacks_warned.add(candidate)
         warnings.warn(
             f"backend {candidate!r} is unavailable ({exc}); "
@@ -132,7 +124,7 @@ def resolve_backend(name: str = "auto") -> KernelBackend:
                 skipped.append((candidate, exc))
                 continue
             for skipped_name, skipped_exc in skipped:
-                _record_fallback(skipped_name, skipped_exc, backend.name)
+                _record_fallback(skipped_name, skipped_exc)
             return backend
         raise BackendUnavailableError(  # pragma: no cover - numpy always up
             "no kernel backend is available")

@@ -151,7 +151,7 @@ def _engine_prices(kernel: str, options: Sequence[Option], steps: int,
 
     Bit-identical to calling the kernel simulator directly (the engine
     only restructures the schedule), but chunked into cache-sized
-    tiles and optionally fanned over worker processes.
+    tiles and optionally fanned over the engine's threads.
     """
     with PricingEngine(kernel=kernel, profile=profile,
                        config=EngineConfig(workers=workers)) as engine:
@@ -186,7 +186,7 @@ def table2(accuracy_options: int = 200, steps: int = published.PAPER_STEPS,
     RMSE from actually pricing ``accuracy_options`` synthetic options
     at full tree depth with each configuration's exact arithmetic
     (scheduled through the batched engine; ``workers > 1`` fans the
-    chunks over processes without changing a bit of the output).
+    chunks over threads without changing a bit of the output).
     """
     batch = generate_batch(n_options=accuracy_options, seed=seed).options
     reference = price(batch, steps=steps, workers=workers).prices

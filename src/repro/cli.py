@@ -41,7 +41,7 @@ __all__ = ["main", "build_parser"]
 
 # mirrors repro.backends.BACKENDS plus the "auto" probe order; kept
 # literal so building the parser stays import-light
-_BACKEND_CHOICES = ("auto", "numpy", "cnative", "numba")
+_BACKEND_CHOICES = ("auto", "numpy", "cnative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="execute at most this many cells, then "
                                  "stop (the store stays resumable)")
         p_verb.add_argument("--workers", type=int, default=None,
-                            help="engine worker processes for the shared "
-                                 "service (default: in-process serial)")
+                            help="engine pricing threads for the shared "
+                                 "service (default: inline, one thread)")
     p_sw_status = sweep_sub.add_parser(
         "status", help="summarise a run store without executing anything")
     p_sw_status.add_argument("--store", required=True, metavar="JSONL")
@@ -532,8 +532,7 @@ def _run_bench_engine(args) -> int:
                  f"{run['chunks']} chunks{compile_note})")
             reliability = {
                 name: run[name]
-                for name in ("retries", "timeouts", "pool_rebuilds",
-                             "degraded_to_serial", "quarantined_options")
+                for name in ("retries", "timeouts", "quarantined_options")
                 if run.get(name)
             }
             if reliability:

@@ -94,7 +94,7 @@ class BinomialAccelerator:
         the paper's printed Table I point.
     :param family: lattice parameterisation.
     :param engine_config: scheduling configuration for the batched
-        pricing engine every :meth:`price_batch` call runs through
+        pricing engine this accelerator's batches run through
         (``None`` = serial engine with a reused workspace).
     :param tracer: optional :class:`repro.obs.trace.Tracer` passed to
         the internal pricing engine, so accelerator-routed batches
@@ -197,21 +197,6 @@ class BinomialAccelerator:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def price_batch(self, options: Sequence[Option]) -> AcceleratorResult:
-        """Removed in repro 2.0 — use :func:`repro.api.price`.
-
-        ``repro.price(options, steps=..., device=accelerator)`` returns
-        the same modeled result on the unified :class:`PriceResult`
-        shape (its ``modeled`` attribute is this method's old return
-        value).  This stub exists only to point stragglers there.
-
-        :raises ReproError: always.
-        """
-        raise ReproError(
-            "BinomialAccelerator.price_batch was removed in repro 2.0; "
-            "use repro.price(options, steps=..., device=<accelerator>)"
-            ".modeled — see the migration table in repro.api")
 
     def _price_batch_impl(self, options: Sequence[Option]) -> AcceleratorResult:
         """Price a batch with this configuration's exact arithmetic.

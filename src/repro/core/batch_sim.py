@@ -21,8 +21,8 @@ semantics — the whole point of kernel IV.B); everything below the
 leaves runs through a :class:`~repro.backends.KernelBackend`.  The
 default backend is the NumPy reference path, which performs the exact
 historical operation sequence in preallocated
-:class:`~repro.engine.workspace.Workspace` tiles; compiled backends
-(``cnative``/``numba``) are bit-identical by contract and verified by
+:class:`~repro.engine.workspace.Workspace` tiles; the compiled backend
+(``cnative``) is bit-identical by contract and verified by
 ``tests/backends``.
 """
 

@@ -8,11 +8,11 @@ without changing a single arithmetic operation:
 * :mod:`~repro.engine.workspace` — preallocated, growable tile pool
   the backward-induction loop runs in;
 * :mod:`~repro.engine.scheduler` — stream grouping, cache-budgeted
-  chunk planning and the picklable per-chunk worker;
+  chunk planning and the per-chunk pricing call;
 * :mod:`~repro.engine.stats` — measured options/s, tree-nodes/s and
   scheduling counters, convertible to Table II rows;
-* :mod:`~repro.engine.reliability` — retry/backoff policy, circuit
-  breaker, quarantine failure records;
+* :mod:`~repro.engine.reliability` — retry/backoff policy and
+  quarantine failure records;
 * :mod:`~repro.engine.faults` — deterministic, seeded fault injection
   (chunk faults and simulated transport failures);
 * :mod:`~repro.engine.engine` — the :class:`PricingEngine` facade.
@@ -33,7 +33,6 @@ from .faults import (
     TransportFaultInjector,
 )
 from .reliability import (
-    CircuitBreaker,
     FailureRecord,
     RetryPolicy,
     retry_call,
@@ -73,7 +72,6 @@ __all__ = [
     "FaultSpec",
     "InjectedFaultError",
     "TransportFaultInjector",
-    "CircuitBreaker",
     "FailureRecord",
     "RetryPolicy",
     "retry_call",

@@ -8,27 +8,29 @@ the paper schedules work-groups across compute units:
 
 * requests are grouped by ``(steps, family, profile)`` and sharded
   into cache-sized chunks (:mod:`repro.engine.scheduler`);
-* chunks fan out over worker processes, each reusing one preallocated
-  workspace for every tile it prices
-  (:mod:`repro.engine.workspace`);
+* chunks fan out over the engine's threads, each reusing one
+  preallocated workspace for every tile it prices
+  (:mod:`repro.engine.workspace`) — the compiled backend's ``ctypes``
+  call releases the GIL, so the threads roll in parallel without
+  pickling anything;
 * results scatter back into input order, and the run is measured in
   the paper's units (:mod:`repro.engine.stats`).
 
 The dispatch is fault tolerant (:mod:`repro.engine.reliability`,
 :mod:`repro.engine.faults`): a failing chunk is retried with
-exponential backoff, a hung chunk is cut off at ``chunk_timeout_s``, a
-crashed worker pool is rebuilt once and then the run degrades to the
-serial in-process path, and an option that keeps failing is isolated
-by quarantine bisection and returned as NaN with a
-:class:`~repro.engine.reliability.FailureRecord` — one poison option
-never fails the other N-1.
+exponential backoff, a chunk still running at ``chunk_timeout_s`` is
+given up and returned as NaN with
+:class:`~repro.errors.ChunkTimeoutError` records, and an option that
+keeps failing is isolated by quarantine bisection and returned as NaN
+with a :class:`~repro.engine.reliability.FailureRecord` — one poison
+option never fails the other N-1.  Process isolation and restarts are
+the serving tier's job (:mod:`repro.serve`), not the engine's.
 
 Every run is observable (:mod:`repro.obs`): pass a
 :class:`~repro.obs.trace.Tracer` to record a hierarchical span tree
 (run -> group -> chunk -> attempt -> worker) with retry and quarantine
-events as timestamped annotations; pool workers serialise their spans
-into the :class:`~repro.engine.scheduler.ChunkReport` travelling back
-with the prices and the parent re-attaches them.  Counters and
+events as timestamped annotations; every span lives in this process,
+so pricing threads attach theirs directly.  Counters and
 latencies always accumulate in a run-scoped metrics registry that is
 merged into the process-wide one
 (:func:`repro.obs.metrics.get_registry`); the returned
@@ -55,13 +57,11 @@ Example::
 
 from __future__ import annotations
 
+import threading
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,17 +74,12 @@ from ..errors import (
     FinanceError,
     PoisonChunkError,
     ReproError,
-    WorkerCrashError,
 )
 from ..finance.lattice import LatticeFamily
 from ..finance.options import Option
-from ..obs.trace import NULL_SPAN, SpanContext, Tracer, as_tracer
+from ..obs.trace import NULL_SPAN, Tracer, as_tracer
 from .faults import FaultPlan
-from .reliability import (
-    CircuitBreaker,
-    FailureRecord,
-    RetryPolicy,
-)
+from .reliability import FailureRecord, RetryPolicy
 from .scheduler import (
     KERNELS,
     Chunk,
@@ -92,23 +87,25 @@ from .scheduler import (
     group_stream,
     plan_chunks,
     price_chunk,
-    price_chunk_observed,
     split_chunk,
 )
 from .stats import EngineStats, RunMetrics
-from .workspace import Workspace, kernel_tile_bytes
+from .workspace import Workspace
 
 __all__ = ["EngineConfig", "EngineResult", "GreeksEngineResult",
            "PricingEngine"]
+
+#: Name prefix of the engine's pricing threads.
+THREAD_NAME_PREFIX = "repro-engine"
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Scheduling and reliability knobs of a :class:`PricingEngine`.
 
-    :param workers: worker processes; ``1`` runs serially in-process
-        (no pool, no pickling) and is the right default for small
-        batches or when the caller parallelises at a higher level.
+    :param workers: pricing threads; ``1`` prices inline on the
+        calling thread and is the right default for small batches or
+        when the caller parallelises at a higher level.
     :param chunk_options: pin the tile size to exactly this many
         options (``None`` auto-sizes from the byte budget).
     :param tile_budget_bytes: target workspace footprint per chunk;
@@ -119,16 +116,18 @@ class EngineConfig:
         per-chunk dispatch overhead at very large ``steps``).
     :param max_retries: additional attempts a failing chunk gets
         before quarantine bisection kicks in.
-    :param chunk_timeout_s: wall-clock deadline per chunk attempt when
-        fanning out over the pool (``None`` = wait forever); a hung
-        chunk counts as a pool failure and forces a pool rebuild.
+    :param chunk_timeout_s: how long a threaded run waits for one
+        chunk (``None`` = wait forever); a chunk still running then is
+        given up, not retried — its options come back NaN with
+        :class:`~repro.errors.ChunkTimeoutError` records and
+        ``timeouts`` counts it.  Inline runs cannot preempt themselves.
     :param backoff_base_s: first-retry backoff ceiling; retry ``k``
         sleeps up to ``backoff_base_s * 2**k`` with deterministic
         jitter (``0`` disables backoff sleeping).
     :param backend: which :class:`~repro.backends.KernelBackend` runs
         the backward-induction hot path — ``"auto"`` (fastest
-        available compiled backend, NumPy fallback), ``"numpy"``,
-        ``"cnative"`` or ``"numba"``.  All backends are bit-identical;
+        available compiled backend, NumPy fallback), ``"numpy"`` or
+        ``"cnative"``.  All backends are bit-identical;
         the ``REPRO_BACKEND`` environment variable overrides this at
         resolution time.
     :param fused_greeks: schedule :meth:`PricingEngine.run_greeks` as
@@ -208,6 +207,23 @@ class GreeksEngineResult:
     failures: "tuple[FailureRecord, ...]" = field(default=())
 
 
+@dataclass
+class _ChunkOutcome:
+    """What pricing one chunk produced, for the dispatching thread.
+
+    Pricing threads only fill this in; the thread that dispatched the
+    chunk scatters ``pieces`` into the run's output and counts the
+    rest into the run's metrics, whose counters are not thread-safe.
+    """
+
+    pieces: "list[tuple[tuple[int, ...], np.ndarray]]" = field(
+        default_factory=list)
+    failures: "list[FailureRecord]" = field(default_factory=list)
+    retries: int = 0
+    latencies: "list[float]" = field(default_factory=list)
+    timed_out: bool = False
+
+
 #: Scheduling order of a greeks run's passes: the base pass computes
 #: [price, delta, gamma, theta] rows by level capture; the four bump
 #: passes re-price bumped contracts for the vega/rho differences.
@@ -261,8 +277,13 @@ class PricingEngine:
         # on one engine are serialised by the serving layer, so an
         # instance attribute (not a lock) is the right scope.
         self._active_policy = self._policy
-        self._workspace = Workspace()  # serial path, reused across runs
-        self._pool: "ProcessPoolExecutor | None" = None
+        self._workspace = Workspace()  # inline path, reused across runs
+        self._executor: "ThreadPoolExecutor | None" = None
+        self._thread_local = threading.local()
+        self._thread_workspaces: "list[Workspace]" = []
+        # resolved by close(): wakes a dispatcher waiting on a chunk
+        self._closing: Future = Future()
+        self._lock = threading.Lock()
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -270,22 +291,28 @@ class PricingEngine:
     def close(self) -> None:
         """Shut down the engine, even with a run in flight.
 
-        Queued chunks are cancelled and worker processes that do not
-        exit promptly are terminated, so closing never blocks behind a
-        hung chunk and never leaks workers; an in-flight :meth:`run`
-        in another thread aborts with :class:`EngineError`.  Closing
+        Queued chunks are cancelled and a run waiting on a chunk stops
+        waiting at once, so closing never blocks behind a hung chunk;
+        an in-flight :meth:`run` in another thread aborts with
+        :class:`EngineError`.  A pricing thread inside a chunk finishes
+        that call on its own, and its result is dropped.  Closing
         an already-closed engine is a no-op, but *pricing* on a closed
         engine raises :class:`EngineError` — the engine does not
         silently resurrect (callers that loop over batches should keep
         one engine open, or let :func:`repro.api.price` reuse its
         shared engine).
         """
-        already_closed = self._closed and self._pool is None
-        self._closed = True
-        if already_closed:
-            return
-        self._abandon_pool()
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            executor, self._executor = self._executor, None
+        self._closing.set_result(None)
+        if executor is not None:
+            executor.shutdown(wait=False, cancel_futures=True)
         self._workspace.release()
+        for workspace in list(self._thread_workspaces):
+            workspace.release()
 
     @property
     def closed(self) -> bool:
@@ -298,25 +325,6 @@ class PricingEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.config.workers)
-        return self._pool
-
-    def _abandon_pool(self) -> None:
-        """Tear the pool down without waiting on in-flight work."""
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            process.join(timeout=0.1)
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=5.0)
-
     def _check_open(self) -> None:
         if self._closed:
             raise EngineError("pricing engine closed while a batch was in flight")
@@ -324,10 +332,8 @@ class PricingEngine:
     def _check_usable(self) -> None:
         """Reject pricing on a closed engine, whatever the route.
 
-        Reuse-after-close used to *work* on the serial path (the run
-        reset the closed flag) while the pool path raced the abandoned
-        pool — the behaviour differed by route.  Now both routes raise
-        the same :class:`EngineError` up front.
+        Inline and threaded runs raise the same :class:`EngineError`
+        up front.
         """
         if self._closed:
             raise EngineError(
@@ -380,10 +386,10 @@ class PricingEngine:
         a closed engine (and :meth:`close` racing the run from another
         thread).
 
-        ``deadline_s`` bounds this run's per-chunk wall-clock timeout
-        (``min`` with the configured ``chunk_timeout_s``), so a serving
-        caller's request deadline caps how long any one dispatch may
-        hang.  Pool mode only — the serial path cannot preempt itself,
+        ``deadline_s`` bounds this run's per-chunk wait (``min`` with
+        the configured ``chunk_timeout_s``), so a serving caller's
+        request deadline caps how long any one chunk may hang.
+        Threaded runs only — an inline run cannot preempt itself,
         exactly like ``chunk_timeout_s``.
         """
         self._check_usable()
@@ -439,20 +445,8 @@ class PricingEngine:
 
         prices = np.empty(len(options), dtype=np.float64)
         failures: "list[FailureRecord]" = []
-        try:
-            if self.config.workers == 1 or len(chunks) == 1:
-                peak_tile_bytes = self._run_serial(
-                    chunks, prices, metrics, failures, group_spans)
-            else:
-                peak_tile_bytes = self._run_pool(
-                    chunks, prices, metrics, failures, group_spans)
-        except BaseException:
-            run_span.set(status="aborted")
-            raise
-        finally:
-            for span in group_spans.values():
-                span.end()
-            run_span.end()
+        peak_tile_bytes = self._dispatch(chunks, prices, metrics, failures,
+                                         run_span, group_spans)
 
         wall_time_s = time.perf_counter() - wall_start
         stats = EngineStats.from_run(
@@ -491,7 +485,7 @@ class PricingEngine:
         :func:`repro.engine.scheduler.greeks_chunk` — no re-pricing).
         Four *bump passes* (volatility ±``bump_vol``, rate
         ±``bump_rate``) are scheduled as sibling chunk groups of the
-        same run, so they inherit chunking, worker fan-out,
+        same run, so they inherit chunking, thread fan-out,
         retry/quarantine and span/metrics instrumentation unchanged;
         vega and rho are the central differences of their prices.
 
@@ -608,20 +602,8 @@ class PricingEngine:
 
         out = np.empty((len(pass_options) * n, 4), dtype=np.float64)
         failures: "list[FailureRecord]" = []
-        try:
-            if self.config.workers == 1 or len(chunks) == 1:
-                peak_tile_bytes = self._run_serial(
-                    chunks, out, metrics, failures, group_spans)
-            else:
-                peak_tile_bytes = self._run_pool(
-                    chunks, out, metrics, failures, group_spans)
-        except BaseException:
-            run_span.set(status="aborted")
-            raise
-        finally:
-            for span in group_spans.values():
-                span.end()
-            run_span.end()
+        peak_tile_bytes = self._dispatch(chunks, out, metrics, failures,
+                                         run_span, group_spans)
 
         base = out[:n]
         vega = (out[n:2 * n, 0] - out[2 * n:3 * n, 0]) / (2.0 * bump_vol)
@@ -727,20 +709,8 @@ class PricingEngine:
 
         out = np.empty((n, 6), dtype=np.float64)
         failures: "list[FailureRecord]" = []
-        try:
-            if self.config.workers == 1 or len(chunks) == 1:
-                peak_tile_bytes = self._run_serial(
-                    chunks, out, metrics, failures, group_spans)
-            else:
-                peak_tile_bytes = self._run_pool(
-                    chunks, out, metrics, failures, group_spans)
-        except BaseException:
-            run_span.set(status="aborted")
-            raise
-        finally:
-            for span in group_spans.values():
-                span.end()
-            run_span.end()
+        peak_tile_bytes = self._dispatch(chunks, out, metrics, failures,
+                                         run_span, group_spans)
 
         remapped = [
             replace(record, message=f"[fused greeks] {record.message}")
@@ -777,17 +747,135 @@ class PricingEngine:
             failures=tuple(sorted(remapped, key=lambda f: f.index)),
         )
 
-    # -- dispatch backends -------------------------------------------------
+    # -- dispatch ----------------------------------------------------------
 
-    def _serial_attempt(self, chunk: Chunk, attempt: int) -> np.ndarray:
-        """One in-process pricing attempt (resolved profile, own tiles)."""
-        return price_chunk(
-            self.kernel, chunk.options, chunk.steps, self.profile,
-            self.family.value, indices=chunk.indices, faults=self.faults,
-            attempt=attempt, in_pool=False, workspace=self._workspace,
-            task=chunk.task, backend=self._backend,
-            bump_vol=chunk.bump_vol, bump_rate=chunk.bump_rate,
-        )
+    def _dispatch(self, chunks: Sequence[Chunk], out: np.ndarray,
+                  metrics: RunMetrics, failures: "list[FailureRecord]",
+                  run_span, group_spans: dict) -> int:
+        """Price every chunk into ``out``; returns the peak tile bytes.
+
+        ``workers == 1`` and single-chunk runs price inline on the
+        calling thread; otherwise the chunks fan out over the engine's
+        threads (:meth:`_run_threaded`).  Either way each chunk goes
+        through :meth:`_price_reliably`, and only this thread applies
+        the outcomes (:meth:`_apply`).
+        """
+        try:
+            if self.config.workers == 1 or len(chunks) == 1:
+                for chunk in chunks:
+                    self._apply(self._price_reliably(
+                        chunk, self._workspace,
+                        self._open_chunk_span(chunk, group_spans)),
+                        out, metrics, failures)
+            else:
+                self._run_threaded(chunks, out, metrics, failures,
+                                   group_spans)
+        except BaseException:
+            run_span.set(status="aborted")
+            raise
+        finally:
+            for span in group_spans.values():
+                span.end()
+            run_span.end()
+        return max([self._workspace.peak_bytes]
+                   + [w.peak_bytes for w in list(self._thread_workspaces)])
+
+    def _ensure_executor(self) -> ThreadPoolExecutor:
+        with self._lock:
+            self._check_open()
+            if self._executor is None:
+                self._executor = ThreadPoolExecutor(
+                    max_workers=self.config.workers,
+                    thread_name_prefix=THREAD_NAME_PREFIX)
+            return self._executor
+
+    def _thread_workspace(self) -> Workspace:
+        """The calling pricing thread's own workspace, made on first use."""
+        workspace = getattr(self._thread_local, "workspace", None)
+        if workspace is None:
+            workspace = self._thread_local.workspace = Workspace()
+            self._thread_workspaces.append(workspace)
+        return workspace
+
+    def _run_threaded(self, chunks: Sequence[Chunk], out: np.ndarray,
+                      metrics: RunMetrics,
+                      failures: "list[FailureRecord]",
+                      group_spans: dict) -> None:
+        """Fan the chunks out over the engine's threads.
+
+        Chunk spans open here, in plan order, so the trace does not
+        depend on thread timing; each pricing thread then owns the
+        span subtree of the chunk it prices.  Outcomes are awaited and
+        applied in plan order.  A chunk still running when the active
+        chunk timeout expires is given up (:meth:`_await_chunk`);
+        the threads cannot be preempted, so its thread finishes on its
+        own and the late result is dropped.
+        """
+        executor = self._ensure_executor()
+        spans = [self._open_chunk_span(chunk, group_spans)
+                 for chunk in chunks]
+        futures: "list[Future]" = []
+        try:
+            try:
+                for chunk, span in zip(chunks, spans):
+                    futures.append(executor.submit(
+                        self._price_on_thread, chunk, span))
+            except RuntimeError:
+                # close() shut the executor down between the two calls
+                self._check_open()
+                raise
+            for future, chunk, span in zip(futures, chunks, spans):
+                self._apply(self._await_chunk(future, chunk, span),
+                            out, metrics, failures)
+        finally:
+            for future in futures:
+                future.cancel()
+
+    def _price_on_thread(self, chunk: Chunk, span) -> _ChunkOutcome:
+        return self._price_reliably(chunk, self._thread_workspace(), span)
+
+    def _await_chunk(self, future: Future, chunk: Chunk,
+                     span) -> _ChunkOutcome:
+        """Wait for one chunk's outcome, at most the active timeout.
+
+        :meth:`close` resolves ``self._closing``, which ends the wait
+        at once and aborts the run.  A chunk that overruns the timeout
+        is given up, not retried: its options come back NaN with
+        :class:`~repro.errors.ChunkTimeoutError` records.
+        """
+        timeout = self._active_policy.chunk_timeout_s
+        wait((future, self._closing), timeout=timeout,
+             return_when=FIRST_COMPLETED)
+        self._check_open()
+        if future.done():
+            return future.result()
+        future.cancel()
+        error = ChunkTimeoutError(
+            f"chunk of {len(chunk)} options exceeded the {timeout}s "
+            f"deadline and was given up")
+        span.annotate("timed-out", timeout_s=timeout)
+        span.set(status="error", error="ChunkTimeoutError").end()
+        return _ChunkOutcome(timed_out=True, failures=[
+            FailureRecord(index=index, error="ChunkTimeoutError",
+                          message=str(error), attempts=1, exception=error)
+            for index in chunk.indices])
+
+    def _apply(self, outcome: _ChunkOutcome, out: np.ndarray,
+               metrics: RunMetrics,
+               failures: "list[FailureRecord]") -> None:
+        """Scatter and count one chunk's outcome (dispatching thread only)."""
+        for indices, values in outcome.pieces:
+            self._scatter(out, indices, values)
+        for latency in outcome.latencies:
+            metrics.chunk_latency.observe(latency)
+        metrics.retries.inc(outcome.retries)
+        for record in outcome.failures:
+            out[record.index] = np.nan
+        if outcome.timed_out:
+            metrics.timeouts.inc()
+        else:
+            metrics.quarantined_options.inc(len(outcome.failures))
+        failures.extend(outcome.failures)
 
     @staticmethod
     def _scatter(out: np.ndarray, indices, values: np.ndarray) -> None:
@@ -803,15 +891,6 @@ class PricingEngine:
         else:
             out[list(indices)] = values
 
-    def _run_serial(self, chunks: Sequence[Chunk], out: np.ndarray,
-                    metrics: RunMetrics,
-                    failures: "list[FailureRecord]",
-                    group_spans: dict) -> int:
-        for chunk in chunks:
-            self._price_reliably(chunk, out, metrics, failures,
-                                 self._serial_attempt, group_spans)
-        return self._workspace.peak_bytes
-
     def _open_chunk_span(self, chunk: Chunk, group_spans: dict,
                          parent=None):
         """Start a chunk span under its group (or the given parent)."""
@@ -825,23 +904,26 @@ class PricingEngine:
             steps=chunk.steps,
         )
 
-    def _price_reliably(self, chunk: Chunk, out: np.ndarray,
-                        metrics: RunMetrics,
-                        failures: "list[FailureRecord]",
-                        attempt_fn: "Callable[[Chunk, int], np.ndarray]",
-                        group_spans: dict,
-                        span=None,
-                        ) -> None:
-        """Retry -> quarantine driver for one chunk (serial execution)."""
+    def _price_reliably(self, chunk: Chunk, workspace: Workspace, span,
+                        outcome: "_ChunkOutcome | None" = None,
+                        ) -> _ChunkOutcome:
+        """Retry -> backoff -> quarantine bisection for one chunk.
+
+        The one reliability driver, run inline or on a pricing thread.
+        It touches nothing shared but the chunk's own spans: prices,
+        failure records, retries and attempt latencies collect in the
+        returned :class:`_ChunkOutcome` for the dispatching thread to
+        apply.
+        """
+        if outcome is None:
+            outcome = _ChunkOutcome()
         key = f"chunk:{chunk.indices[0]}+{len(chunk)}"
-        if span is None:
-            span = self._open_chunk_span(chunk, group_spans)
         last_error: "Exception | None" = None
         attempts_spent = 0
         for attempt in range(self.config.max_retries + 1):
             self._check_open()
             if attempt > 0:
-                metrics.retries.inc()
+                outcome.retries += 1
                 span.annotate("retry", attempt=attempt,
                               error=type(last_error).__name__)
                 delay = self._policy.backoff_s(key, attempt - 1)
@@ -849,10 +931,21 @@ class PricingEngine:
                     time.sleep(delay)
             attempts_spent = attempt + 1
             attempt_span = span.child(f"attempt-{attempt}", "attempt",
-                                      attempt=attempt, mode="serial")
+                                      attempt=attempt)
             attempt_start = time.perf_counter()
             try:
-                chunk_prices = attempt_fn(chunk, attempt)
+                with attempt_span.child(
+                        f"worker:{self.kernel}:{chunk.task}", "worker",
+                        thread=threading.current_thread().name,
+                        options=len(chunk), steps=chunk.steps):
+                    values = price_chunk(
+                        self.kernel, chunk.options, chunk.steps,
+                        self.profile, self.family.value,
+                        indices=chunk.indices, faults=self.faults,
+                        attempt=attempt, workspace=workspace,
+                        task=chunk.task, backend=self._backend,
+                        bump_vol=chunk.bump_vol, bump_rate=chunk.bump_rate,
+                    )
             except FinanceError as exc:
                 # deterministic bad input: retrying cannot help, go
                 # straight to quarantine to isolate the culprit
@@ -872,268 +965,44 @@ class PricingEngine:
                     f"chunk worker raised {type(exc).__name__}: {exc}")
                 continue
             attempt_span.end()
-            metrics.chunk_latency.observe(time.perf_counter() - attempt_start)
-            bad = ~np.isfinite(chunk_prices)
+            outcome.latencies.append(time.perf_counter() - attempt_start)
+            bad = ~np.isfinite(values)
             if bad.any():
                 last_error = PoisonChunkError(
                     f"chunk produced {int(bad.sum())} non-finite price(s)")
                 continue
-            self._scatter(out, chunk.indices, chunk_prices)
+            outcome.pieces.append((chunk.indices, values))
             span.end()
-            return
-        self._quarantine(chunk, out, metrics, failures, attempt_fn,
-                         last_error, attempts_spent, group_spans, span)
-
-    def _quarantine(self, chunk: Chunk, out: np.ndarray,
-                    metrics: RunMetrics,
-                    failures: "list[FailureRecord]",
-                    attempt_fn, error: "Exception | None",
-                    attempts_spent: int, group_spans: dict, span) -> None:
-        """Bisect a poison chunk until single failing options isolate."""
+            return outcome
         if len(chunk) == 1:
-            self._record_failure(chunk, out, metrics, failures, error,
+            self._record_failure(chunk, outcome, last_error,
                                  attempts_spent, span)
-            span.end()
-            return
-        span.annotate("quarantine-split",
-                      error=type(error).__name__ if error else "unknown")
-        for piece in split_chunk(chunk):
-            # bisection halves trace as chunk spans *under* the failed
-            # chunk, so the quarantine tree is visible in the dump
-            piece_span = self._open_chunk_span(piece, group_spans,
-                                               parent=span)
-            self._price_reliably(piece, out, metrics, failures, attempt_fn,
-                                 group_spans, span=piece_span)
+        else:
+            span.annotate("quarantine-split",
+                          error=type(last_error).__name__)
+            for piece in split_chunk(chunk):
+                # bisection halves trace as chunk spans *under* the
+                # failed chunk, so the quarantine tree is visible
+                self._price_reliably(
+                    piece, workspace,
+                    self._open_chunk_span(piece, {}, parent=span), outcome)
         span.end()
+        return outcome
 
     @staticmethod
-    def _record_failure(chunk: Chunk, out: np.ndarray,
-                        metrics: RunMetrics,
-                        failures: "list[FailureRecord]",
-                        error: "Exception | None",
-                        attempts_spent: int, span) -> None:
+    def _record_failure(chunk: Chunk, outcome: _ChunkOutcome,
+                        error: Exception, attempts_spent: int,
+                        span) -> None:
         index = chunk.indices[0]
-        out[index] = np.nan
-        metrics.quarantined_options.inc()
-        span.annotate(
-            "quarantined", index=index,
-            error=type(error).__name__ if error is not None else "EngineError",
-            attempts=attempts_spent,
-        )
-        failures.append(FailureRecord(
+        span.annotate("quarantined", index=index,
+                      error=type(error).__name__, attempts=attempts_spent)
+        outcome.failures.append(FailureRecord(
             index=index,
-            error=type(error).__name__ if error is not None else "EngineError",
-            message=str(error) if error is not None else "unknown failure",
+            error=type(error).__name__,
+            message=str(error),
             attempts=attempts_spent,
             exception=error,
         ))
-
-    def _span_context(self, chunk: Chunk, attempt: int,
-                      ) -> "SpanContext | None":
-        """Identity the pool worker tags its spans with (or ``None``)."""
-        if not self.tracer.enabled:
-            return None
-        group_name = (f"group[{chunk.group}:steps={chunk.steps}]"
-                      if chunk.group else f"group[steps={chunk.steps}]")
-        root = "engine.greeks" if chunk.group else "engine.run"
-        return SpanContext(
-            trace_id=self.tracer.trace_id,
-            path=(root, group_name,
-                  f"chunk[{chunk.indices[0]}+{len(chunk)}]",
-                  f"attempt-{attempt}"),
-        )
-
-    def _run_pool(self, chunks: Sequence[Chunk], out: np.ndarray,
-                  metrics: RunMetrics,
-                  failures: "list[FailureRecord]",
-                  group_spans: dict) -> int:
-        """Fan chunks over the pool in waves, absorbing failures.
-
-        Happy path: one wave — submit everything, gather everything,
-        exactly the pre-reliability schedule.  A failed chunk re-enters
-        the queue with its attempt count bumped (or quarantine-split
-        once retries are spent); a pool-level failure (crashed worker,
-        hung chunk) costs the breaker — one rebuild, then degradation
-        to the serial path for whatever work remains.
-
-        Chunk spans live on the parent side, keyed by the chunk's
-        indices so retries re-enter the same span as new attempt
-        children; each gathered :class:`ChunkReport` feeds the latency
-        histogram and (when tracing) carries the worker's serialised
-        spans, which are adopted under the dispatching attempt span.
-        """
-        breaker = CircuitBreaker(rebuild_limit=1)
-        queue: "deque[tuple[Chunk, int]]" = deque(
-            (chunk, 0) for chunk in chunks)
-        chunk_spans: "dict[tuple[int, ...], object]" = {}
-
-        def span_for(chunk: Chunk):
-            if not self.tracer.enabled:
-                return NULL_SPAN
-            span = chunk_spans.get(chunk.indices)
-            if span is None:
-                span = self._open_chunk_span(chunk, group_spans)
-                chunk_spans[chunk.indices] = span
-            return span
-
-        while queue:
-            self._check_open()
-            if breaker.open:
-                metrics.degraded_to_serial.inc()
-                while queue:
-                    chunk, _ = queue.popleft()
-                    span = chunk_spans.pop(chunk.indices, None)
-                    if span is not None:
-                        span.annotate("degraded-to-serial")
-                    self._price_reliably(chunk, out, metrics, failures,
-                                         self._serial_attempt, group_spans,
-                                         span=span)
-                break
-            pool = self._ensure_pool()
-            wave = list(queue)
-            queue.clear()
-            futures = []
-            for chunk, attempt in wave:
-                chunk_span = span_for(chunk)
-                attempt_span = chunk_span.child(
-                    f"attempt-{attempt}", "attempt",
-                    attempt=attempt, mode="pool")
-                futures.append((
-                    pool.submit(
-                        price_chunk_observed, self.kernel, chunk.options,
-                        chunk.steps, self.profile.name, self.family.value,
-                        indices=chunk.indices, faults=self.faults,
-                        attempt=attempt, in_pool=True,
-                        span_context=self._span_context(chunk, attempt),
-                        task=chunk.task, backend=self._backend.name,
-                        bump_vol=chunk.bump_vol, bump_rate=chunk.bump_rate,
-                    ), chunk, attempt, attempt_span))
-            pool_failed = False
-            next_delay = 0.0
-            for future, chunk, attempt, attempt_span in futures:
-                if pool_failed:
-                    # the pool is already being abandoned: requeue
-                    # without consuming one of this chunk's attempts
-                    future.cancel()
-                    attempt_span.annotate("cancelled").end()
-                    queue.append((chunk, attempt))
-                    continue
-                try:
-                    chunk_prices, report = future.result(
-                        timeout=self._active_policy.chunk_timeout_s)
-                except _FutureTimeout:
-                    attempt_span.set(error="ChunkTimeoutError",
-                                     status="error").end()
-                    metrics.timeouts.inc()
-                    pool_failed = True
-                    next_delay = max(next_delay, self._handle_chunk_failure(
-                        chunk, attempt, ChunkTimeoutError(
-                            f"chunk of {len(chunk)} options exceeded the "
-                            f"{self._active_policy.chunk_timeout_s}s deadline"),
-                        queue, out, metrics, failures, span_for(chunk)))
-                    continue
-                except BrokenProcessPool as exc:
-                    attempt_span.set(error="WorkerCrashError",
-                                     status="error").end()
-                    pool_failed = True
-                    next_delay = max(next_delay, self._handle_chunk_failure(
-                        chunk, attempt, WorkerCrashError(
-                            f"worker process died while pricing a chunk of "
-                            f"{len(chunk)} options: {exc}"),
-                        queue, out, metrics, failures, span_for(chunk)))
-                    continue
-                except FinanceError as exc:
-                    # deterministic bad input: skip retries, bisect now
-                    attempt_span.set(error=type(exc).__name__,
-                                     status="error").end()
-                    next_delay = max(next_delay, self._handle_chunk_failure(
-                        chunk, self.config.max_retries, exc,
-                        queue, out, metrics, failures, span_for(chunk)))
-                    continue
-                except ReproError as exc:
-                    attempt_span.set(error=type(exc).__name__,
-                                     status="error").end()
-                    next_delay = max(next_delay, self._handle_chunk_failure(
-                        chunk, attempt, exc, queue, out, metrics, failures,
-                        span_for(chunk)))
-                    continue
-                except Exception as exc:
-                    attempt_span.set(error=type(exc).__name__,
-                                     status="error").end()
-                    next_delay = max(next_delay, self._handle_chunk_failure(
-                        chunk, attempt, EngineError(
-                            f"chunk worker raised {type(exc).__name__}: "
-                            f"{exc}"),
-                        queue, out, metrics, failures, span_for(chunk)))
-                    continue
-                metrics.chunk_latency.observe(report.duration_s)
-                attempt_span.adopt(report.spans)
-                attempt_span.set(worker_pid=report.pid,
-                                 worker_seconds=round(report.duration_s, 6))
-                attempt_span.end()
-                bad = ~np.isfinite(chunk_prices)
-                if bad.any():
-                    next_delay = max(next_delay, self._handle_chunk_failure(
-                        chunk, attempt, PoisonChunkError(
-                            f"chunk produced {int(bad.sum())} non-finite "
-                            f"price(s)"),
-                        queue, out, metrics, failures, span_for(chunk)))
-                    continue
-                self._scatter(out, chunk.indices, chunk_prices)
-                span = chunk_spans.pop(chunk.indices, None)
-                if span is not None:
-                    span.end()
-            if pool_failed:
-                breaker.record_failure()
-                self._abandon_pool()
-                if not breaker.open:
-                    metrics.pool_rebuilds.inc()
-            if next_delay > 0.0 and queue:
-                time.sleep(next_delay)
-
-        for span in chunk_spans.values():
-            span.end()
-
-        if self.kernel == "reference":
-            pool_peak = 0
-        else:
-            pool_peak = max(
-                kernel_tile_bytes(len(chunk) * chunk_width(chunk.task),
-                                  chunk.steps, self.profile.dtype)
-                for chunk in chunks
-            )
-        return max(pool_peak, self._workspace.peak_bytes)
-
-    def _handle_chunk_failure(self, chunk: Chunk, attempt: int,
-                              error: Exception,
-                              queue: "deque[tuple[Chunk, int]]",
-                              out: np.ndarray,
-                              metrics: RunMetrics,
-                              failures: "list[FailureRecord]",
-                              span) -> float:
-        """Requeue a failed chunk (pool mode); returns the backoff delay.
-
-        Retries re-enter the wave queue with ``attempt + 1``; once the
-        budget is spent the chunk is quarantine-split (halves restart
-        their own retry budget) or, at size one, recorded as a failed
-        option.
-        """
-        key = f"chunk:{chunk.indices[0]}+{len(chunk)}"
-        if attempt < self.config.max_retries:
-            metrics.retries.inc()
-            span.annotate("retry", attempt=attempt + 1,
-                          error=type(error).__name__)
-            queue.append((chunk, attempt + 1))
-            return self._policy.backoff_s(key, attempt)
-        if len(chunk) == 1:
-            self._record_failure(chunk, out, metrics, failures, error,
-                                 attempt + 1, span)
-            span.end()
-            return 0.0
-        span.annotate("quarantine-split", error=type(error).__name__)
-        span.end()
-        queue.extend((piece, 0) for piece in split_chunk(chunk))
-        return 0.0
 
     def describe(self) -> str:
         """One-line configuration summary."""

@@ -1,16 +1,16 @@
 """Deterministic, seeded fault injection for the pricing engine.
 
 A production pricing service dies in ways a unit test never sees by
-accident: a worker process segfaults, a chunk hangs behind a stuck
+accident: a pricing call crashes, a chunk hangs behind a stuck
 driver call, market data carries a NaN, a PCIe transfer times out (the
 failure class the data-centre FPGA deployment papers treat as routine).
 This module makes every one of those failure modes *reproducible*:
 
-* :class:`FaultPlan` — a picklable schedule of per-option faults the
-  engine threads through to its chunk workers.  A spec fires while
+* :class:`FaultPlan` — an immutable schedule of per-option faults the
+  engine threads through to every chunk it prices.  A spec fires while
   ``attempt < spec.attempts``, so "fail twice then succeed" and
   "fail forever" (:data:`ALWAYS`) are both stateless and therefore
-  deterministic across processes, retries and quarantine splits.
+  deterministic across threads, retries and quarantine splits.
 * :class:`TransportFaultInjector` — a seeded failure schedule for the
   simulated OpenCL transport, hooked into
   :class:`~repro.opencl.queue.CommandQueue` (per-queue) and
@@ -25,7 +25,6 @@ path through the engine stays bit-identical to the simulators.
 from __future__ import annotations
 
 import enum
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -69,10 +68,9 @@ class FaultKind(enum.Enum):
     #: Sleep ``hang_s`` before pricing (a stuck driver call); with a
     #: ``chunk_timeout_s`` deadline the host sees a hung chunk.
     HANG = "hang"
-    #: ``os._exit`` the worker process mid-chunk (pool mode); the serial
-    #: path simulates the crash by raising
-    #: :class:`~repro.errors.WorkerCrashError` instead of killing the
-    #: test process.
+    #: Raise :class:`~repro.errors.WorkerCrashError`, the engine-level
+    #: trace of a crashed pricing call.  A process that really dies is
+    #: the serving tier's shard supervisor's job (:mod:`repro.serve`).
     KILL = "kill"
 
 
@@ -99,11 +97,9 @@ class FaultSpec:
 class FaultPlan:
     """A deterministic schedule of engine faults.
 
-    The plan is immutable and picklable: it crosses the process
-    boundary with each chunk, and "has this fault fired?" is a pure
-    function of ``(spec, attempt)`` — no shared mutable state, so the
-    same plan replays identically in serial, pool and quarantine
-    execution.
+    The plan is immutable: "has this fault fired?" is a pure function
+    of ``(spec, attempt)`` — no shared mutable state, so the same plan
+    replays identically in inline, threaded and quarantine execution.
     """
 
     specs: tuple[FaultSpec, ...] = ()
@@ -119,8 +115,8 @@ class FaultPlan:
         return [spec for spec in self.specs
                 if spec.option_index in targets and attempt < spec.attempts]
 
-    def fire_before_pricing(self, indices: Sequence[int], attempt: int,
-                            in_pool: bool) -> None:
+    def fire_before_pricing(self, indices: Sequence[int],
+                            attempt: int) -> None:
         """Trigger RAISE / HANG / KILL faults for one chunk attempt."""
         for spec in self.active_specs(indices, attempt):
             if spec.kind is FaultKind.HANG:
@@ -131,11 +127,9 @@ class FaultPlan:
                     f"(attempt {attempt})"
                 )
             elif spec.kind is FaultKind.KILL:
-                if in_pool:
-                    os._exit(13)
                 raise WorkerCrashError(
                     f"injected worker crash on option {spec.option_index} "
-                    f"(serial path simulates os._exit)"
+                    f"(attempt {attempt})"
                 )
 
     def corrupt_prices(self, indices: Sequence[int], attempt: int,

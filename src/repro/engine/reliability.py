@@ -1,4 +1,4 @@
-"""Retry, backoff, circuit-breaking and failure records for the engine.
+"""Retry, backoff and failure records for the engine.
 
 The policy half of fault tolerance (the mechanics — what a fault *is*
 — live in :mod:`repro.engine.faults`):
@@ -7,10 +7,6 @@ The policy half of fault tolerance (the mechanics — what a fault *is*
   with **deterministic** jitter (seeded per ``(key, attempt)``, so two
   replays of the same failing run sleep the same schedule), and the
   optional wall-clock chunk deadline.
-* :class:`CircuitBreaker` — pool-level degradation: the first pool
-  failure (crashed worker, hung chunk) buys one pool rebuild, the
-  second opens the breaker and the engine falls back to the serial
-  in-process path so the batch always completes.
 * :class:`FailureRecord` — the structured per-option result of
   quarantine: a poison option is returned as NaN plus one of these in
   :attr:`~repro.engine.engine.EngineResult.failures`, instead of
@@ -31,8 +27,6 @@ from typing import Callable, Optional
 __all__ = [
     "FailureRecord",
     "RetryPolicy",
-    "CircuitBreaker",
-    "ReliabilityCounters",
     "retry_call",
 ]
 
@@ -96,10 +90,9 @@ class RetryPolicy:
     :param backoff_base_s: first-retry backoff ceiling; attempt ``k``
         waits up to ``backoff_base_s * 2**k`` (capped at
         :attr:`max_backoff_s`).  ``0`` disables sleeping entirely.
-    :param chunk_timeout_s: wall-clock deadline per chunk attempt
-        (pool mode only — the serial path cannot preempt itself);
-        ``None`` waits forever, exactly like the pre-reliability
-        engine.
+    :param chunk_timeout_s: how long a threaded run waits for one
+        chunk before giving it up (an inline run cannot preempt
+        itself); ``None`` waits forever.
     :param max_backoff_s: backoff ceiling, keeping the exponential
         schedule bounded.
     """
@@ -150,45 +143,6 @@ class RetryPolicy:
                       self.max_backoff_s)
         jitter = random.Random(f"{key}:{attempt}").random()
         return ceiling * (0.5 + 0.5 * jitter)
-
-
-class CircuitBreaker:
-    """Counts pool-level failures and decides rebuild vs degrade.
-
-    States: *closed* (healthy) -> up to ``rebuild_limit`` pool rebuilds
-    -> *open* (pool given up; callers fall back to serial execution).
-    """
-
-    def __init__(self, rebuild_limit: int = 1):
-        self.rebuild_limit = rebuild_limit
-        self.failures = 0
-
-    def record_failure(self) -> None:
-        """Register one pool failure (broken pool or hung worker)."""
-        self.failures += 1
-
-    @property
-    def open(self) -> bool:
-        """True once the pool has exhausted its rebuild budget."""
-        return self.failures > self.rebuild_limit
-
-
-@dataclass
-class ReliabilityCounters:
-    """Mutable accumulator for reliability statistics.
-
-    Superseded: since the observability layer the engine counts
-    directly into a run-scoped
-    :class:`~repro.engine.stats.RunMetrics` registry and derives
-    :class:`~repro.engine.stats.EngineStats` from it.  Kept for
-    external callers that used it as a plain tally object.
-    """
-
-    retries: int = 0
-    timeouts: int = 0
-    pool_rebuilds: int = 0
-    degraded_to_serial: int = 0
-    quarantined_options: int = 0
 
 
 def retry_call(

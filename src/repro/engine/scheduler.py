@@ -4,8 +4,8 @@ The engine's scheduling model mirrors the paper's kernel IV.B: the
 device prices one option per work-group and keeps a bounded number of
 work-groups resident, so host-side throughput comes from feeding it
 *tiles* of options rather than one giant buffer.  Here the "compute
-units" are worker processes and the "resident work-group set" is the
-workspace tile a worker prices one chunk in:
+units" are the engine's pricing threads and the "resident work-group
+set" is the workspace tile a thread prices one chunk in:
 
 1. **Group** the incoming stream by ``(steps, family, profile)`` so
    heterogeneous requests still vectorise — every chunk is internally
@@ -14,7 +14,7 @@ workspace tile a worker prices one chunk in:
    cache/memory budget (``kernel_tile_bytes``); a tile that fits in
    the last-level cache keeps the ~1000-iteration backward loop out
    of DRAM.
-3. **Dispatch** chunks over a process pool (or inline for
+3. **Dispatch** chunks over the engine's threads (or inline for
    ``workers=1``) and scatter results back into input order.
 
 Everything here is deliberately free of policy: the
@@ -30,23 +30,18 @@ from typing import Sequence
 
 import numpy as np
 
-import os
-import time
-
 from ..core.batch_sim import simulate_kernel_a_batch, simulate_kernel_b_batch
 from ..core.faithful_math import get_profile
-from ..errors import BackendUnavailableError, ReproError
+from ..errors import ReproError
 from ..finance.binomial import price_binomial
 from ..finance.greeks import greeks_from_levels, tree_value_levels
 from ..finance.lattice import LatticeFamily, build_lattice_arrays
 from ..finance.options import Option, option_arrays
-from ..obs.trace import SpanContext, _worker_record
 from .workspace import Workspace, kernel_tile_bytes
 
-__all__ = ["Chunk", "ChunkReport", "KERNELS", "TASKS", "chunk_width",
-           "greeks_chunk", "greeks_fused_chunk", "group_stream",
-           "plan_chunks", "price_chunk", "price_chunk_observed",
-           "split_chunk"]
+__all__ = ["Chunk", "KERNELS", "TASKS", "chunk_width", "greeks_chunk",
+           "greeks_fused_chunk", "group_stream", "plan_chunks",
+           "price_chunk", "split_chunk"]
 
 #: Kernels the engine can schedule: the two paper accelerators plus
 #: the reference software pricer (per-option backward induction).
@@ -56,14 +51,14 @@ KERNELS = ("iv_a", "iv_b", "reference")
 #: option; ``"greeks"`` produces ``[price, delta, gamma, theta]`` rows
 #: from the same single pricing pass (level capture, no re-pricing);
 #: ``"greeks_fused"`` produces the full ``[price, delta, gamma, theta,
-#: vega, rho]`` rows from one worker call that prices the base
+#: vega, rho]`` rows from one call that prices the base
 #: contracts and all four bump variants through a single simulate
 #: (lattice params and leaves built once, 5x-wide shared tile).
 TASKS = ("price", "greeks", "greeks_fused")
 
 
 def chunk_width(task: str) -> int:
-    """Workspace rows one option of ``task`` occupies in a worker tile.
+    """Workspace rows one option of ``task`` occupies in a tile.
 
     The fused greeks task prices five contract variants per option in
     one simulate call, so its tiles are five rows wide per option; the
@@ -75,18 +70,18 @@ def chunk_width(task: str) -> int:
 
 @dataclass(frozen=True)
 class Chunk:
-    """One homogeneous tile of work, ready for a single worker call.
+    """One homogeneous tile of work, ready for a single pricing call.
 
     :param indices: positions of these options in the caller's stream
         (used to scatter prices back into input order).
     :param options: the contracts, aligned with ``indices``.
     :param steps: tree depth shared by every option in the tile.
-    :param task: what the worker computes — one of :data:`TASKS`.
+    :param task: what the chunk computes — one of :data:`TASKS`.
     :param group: label of the scheduling group this chunk belongs to
         (empty for plain pricing runs; greeks runs use it to keep the
         base pass and the vega/rho bump passes as sibling span groups).
     :param bump_vol: volatility bump of the fused greeks task (the
-        worker builds the vega variants itself; 0 for other tasks).
+        task builds the vega variants itself; 0 for other tasks).
     :param bump_rate: rate bump of the fused greeks task.
     """
 
@@ -100,22 +95,6 @@ class Chunk:
 
     def __len__(self) -> int:
         return len(self.options)
-
-
-@dataclass(frozen=True)
-class ChunkReport:
-    """Worker-side observation of one pricing attempt.
-
-    Travels back over the pool boundary next to the prices: the
-    measured attempt latency always (it feeds the
-    ``repro_engine_chunk_latency_seconds`` histogram), plus the
-    worker's serialised spans when the parent sent a
-    :class:`~repro.obs.trace.SpanContext` (tracing enabled).
-    """
-
-    duration_s: float
-    pid: int
-    spans: "tuple[dict, ...]" = ()
 
 
 def group_stream(
@@ -166,10 +145,10 @@ def plan_chunks(
 ) -> "list[Chunk]":
     """Shard one homogeneous group into workspace-sized tiles.
 
-    Tile rows are chosen so one worker's S/V/scratch footprint stays
+    Tile rows are chosen so one thread's S/V/scratch footprint stays
     within ``tile_budget_bytes`` (unless ``chunk_options`` pins the
     size explicitly), never below ``min_chunk_options`` rows, and —
-    when fanning out — small enough that every worker gets work.
+    when fanning out — small enough that every thread gets work.
     ``width`` scales the per-option footprint estimate (see
     :func:`chunk_width` — the fused greeks task prices five variants
     per option in one tile).  ``task``/``group``/``bump_*`` are
@@ -216,53 +195,7 @@ def split_chunk(chunk: Chunk) -> "tuple[Chunk, ...]":
     )
 
 
-# -- worker side -----------------------------------------------------------
-
-#: Process-local tile pool: with a fork/forkserver pool each worker
-#: process keeps one workspace alive across every chunk it prices, the
-#: engine-side analogue of the device keeping its local-memory value
-#: rows resident between work-group launches.
-_WORKER_WORKSPACE: "Workspace | None" = None
-
-
-def _worker_workspace() -> Workspace:
-    global _WORKER_WORKSPACE
-    if _WORKER_WORKSPACE is None:
-        _WORKER_WORKSPACE = Workspace()
-    return _WORKER_WORKSPACE
-
-
-#: Process-local backend instances, keyed by name.  The pool path
-#: submits the backend *name* (a resolved instance holds an unpicklable
-#: ctypes/JIT handle); each worker process resolves it once and reuses
-#: the instance — compiled backends therefore pay their compile/load
-#: cost once per worker, not once per chunk.
-_WORKER_BACKENDS: "dict[str, object]" = {}
-
-
-def _worker_backend(backend):
-    """Resolve a chunk's backend argument into a usable instance.
-
-    ``None`` stays ``None`` (the simulators pin their NumPy default);
-    an instance passes through (serial path); a name is resolved via
-    the registry with a per-process cache.  A name that cannot be
-    realised in the worker (compiler missing in a forkserver child,
-    say) falls back to the NumPy reference path — backends are
-    bit-identical by contract, so the fallback changes timing, never
-    prices.
-    """
-    if backend is None or not isinstance(backend, str):
-        return backend
-    resolved = _WORKER_BACKENDS.get(backend)
-    if resolved is None:
-        from ..backends import get_backend
-
-        try:
-            resolved = get_backend(backend)
-        except BackendUnavailableError:
-            resolved = get_backend("numpy")
-        _WORKER_BACKENDS[backend] = resolved
-    return resolved
+# -- pricing one chunk -----------------------------------------------------
 
 
 def greeks_chunk(
@@ -322,7 +255,7 @@ def greeks_fused_chunk(
     workspace: "Workspace | None" = None,
     backend=None,
 ) -> np.ndarray:
-    """The full greeks set of one chunk from a single worker call.
+    """The full greeks set of one chunk from a single call.
 
     Returns ``(n, 6)`` float64 rows
     ``[price, delta, gamma, theta, vega, rho]``.  Where the five-pass
@@ -398,24 +331,22 @@ def price_chunk(
     bump_vol: float = 0.0,
     bump_rate: float = 0.0,
 ) -> np.ndarray:
-    """Price one chunk; the unit of work a pool worker executes.
+    """Price one chunk; the unit of work of one pricing thread.
 
-    The positional arguments take picklable primitives (profile by
-    name, family by enum value) so the same entry point serves the
-    serial path and ``ProcessPoolExecutor.submit``; the serial path
-    may pass a resolved :class:`~repro.core.faithful_math.MathProfile`
-    and its own workspace instead.  ``backend`` follows the same
-    convention — a resolved :class:`~repro.backends.KernelBackend`
-    serially, its *name* over the pool boundary (resolved per worker
-    process by :func:`_worker_backend`), or ``None`` for the NumPy
-    default.
+    ``profile_name`` is a :class:`~repro.core.faithful_math.MathProfile`
+    or its name, ``family_value`` a lattice family's enum value, and
+    ``backend`` a resolved :class:`~repro.backends.KernelBackend` (or
+    ``None`` for the NumPy default).  ``workspace`` is the calling
+    thread's own tile pool; ``None`` lets the simulator allocate one.
+    ``in_pool`` is accepted for compatibility and ignored: every chunk
+    runs in the engine's own process.
 
     ``indices``/``faults``/``attempt`` thread the engine's
     deterministic fault-injection plan (see
-    :mod:`repro.engine.faults`) through to the worker: faults keyed to
+    :mod:`repro.engine.faults`) through to the chunk: faults keyed to
     an option index fire in whichever chunk carries that option, while
     ``attempt < spec.attempts`` — a pure function of the arguments, so
-    the same plan replays identically across processes and retries.
+    the same plan replays identically across threads and retries.
 
     ``task="greeks"`` routes to :func:`greeks_chunk` and returns
     ``(n, 4)`` rows instead of a price vector; ``task="greeks_fused"``
@@ -428,11 +359,8 @@ def price_chunk(
     family = LatticeFamily(family_value)
     if task not in TASKS:
         raise ReproError(f"task must be one of {TASKS}, got {task!r}")
-    backend = _worker_backend(backend)
     if faults is not None and indices is not None:
-        faults.fire_before_pricing(indices, attempt, in_pool)
-    if workspace is None:
-        workspace = _worker_workspace()
+        faults.fire_before_pricing(indices, attempt)
     if task == "greeks_fused":
         rows = greeks_fused_chunk(kernel, options, steps, profile, family,
                                   bump_vol, bump_rate, workspace=workspace,
@@ -463,58 +391,3 @@ def price_chunk(
     if faults is not None and indices is not None:
         prices = faults.corrupt_prices(indices, attempt, prices)
     return prices
-
-
-def price_chunk_observed(
-    kernel: str,
-    options: Sequence[Option],
-    steps: int,
-    profile_name,
-    family_value: str,
-    indices: "Sequence[int] | None" = None,
-    faults=None,
-    attempt: int = 0,
-    in_pool: bool = True,
-    workspace: "Workspace | None" = None,
-    span_context: "SpanContext | None" = None,
-    task: str = "price",
-    backend=None,
-    bump_vol: float = 0.0,
-    bump_rate: float = 0.0,
-) -> "tuple[np.ndarray, ChunkReport]":
-    """Price one chunk and report what the worker saw.
-
-    The observed twin of :func:`price_chunk`, and what the engine's
-    pool path actually submits: same pricing, same exceptions, but the
-    return value carries a :class:`ChunkReport` with the measured
-    attempt latency and — when ``span_context`` says the parent is
-    tracing — the worker's spans, serialised so they survive the
-    :class:`~concurrent.futures.ProcessPoolExecutor` boundary and can
-    be re-attached under the parent's chunk span
-    (:meth:`repro.obs.trace.Span.adopt`).  Timestamps are
-    CLOCK_MONOTONIC, which is system-wide on Linux, so worker spans
-    mesh onto the parent's timeline directly.
-    """
-    name = f"worker:{kernel}" if task == "price" else f"worker:{kernel}:{task}"
-    span = _worker_record(
-        span_context, name, "worker",
-        options=len(options), steps=steps, attempt=attempt,
-        pid=os.getpid(),
-    )
-    start = time.perf_counter()
-    try:
-        with span:
-            prices = price_chunk(
-                kernel, options, steps, profile_name, family_value,
-                indices=indices, faults=faults, attempt=attempt,
-                in_pool=in_pool, workspace=workspace, task=task,
-                backend=backend, bump_vol=bump_vol, bump_rate=bump_rate,
-            )
-    finally:
-        duration_s = time.perf_counter() - start
-    report = ChunkReport(
-        duration_s=duration_s,
-        pid=os.getpid(),
-        spans=(span.end().as_dict(),) if span_context is not None else (),
-    )
-    return prices, report

@@ -55,13 +55,8 @@ class RunMetrics:
         self.retries = reg.counter(
             keys.RETRIES_TOTAL, "Chunk attempts re-dispatched after a failure")
         self.timeouts = reg.counter(
-            keys.TIMEOUTS_TOTAL, "Chunk attempts that overran chunk_timeout_s")
-        self.pool_rebuilds = reg.counter(
-            keys.POOL_REBUILDS_TOTAL,
-            "Worker-pool teardowns followed by a rebuild")
-        self.degraded_to_serial = reg.counter(
-            keys.DEGRADED_TO_SERIAL_TOTAL,
-            "Runs whose circuit breaker opened (rest of batch ran serial)")
+            keys.TIMEOUTS_TOTAL,
+            "Chunks given up after overrunning chunk_timeout_s")
         self.quarantined_options = reg.counter(
             keys.QUARANTINED_OPTIONS_TOTAL,
             "Options isolated by quarantine bisection (NaN + FailureRecord)")
@@ -83,7 +78,6 @@ class RunMetrics:
         # Prometheus text (absent-vs-zero is ambiguous to scrapers).
         for handle in (self.options, self.tree_nodes, self.groups,
                        self.chunks, self.retries, self.timeouts,
-                       self.pool_rebuilds, self.degraded_to_serial,
                        self.quarantined_options, self.greeks_options,
                        self.bump_passes):
             handle.inc(0.0)
@@ -100,7 +94,7 @@ class RunMetrics:
                   "Node-update throughput of the most recent engine run"
                   ).set(tree_nodes_per_second)
         reg.gauge(keys.PEAK_TILE_BYTES,
-                  "Workspace high-water mark of the largest worker"
+                  "Workspace high-water mark of the largest thread"
                   ).set(peak_tile_bytes)
 
     def publish(self) -> None:
@@ -119,19 +113,17 @@ class EngineStats:
     :param groups: homogeneous ``(steps, family, profile)`` groups the
         stream was split into.
     :param chunks: tiles dispatched across all groups.
-    :param workers: worker processes used (1 = in-process serial).
+    :param workers: pricing threads used (1 = inline on the caller).
     :param wall_time_s: end-to-end wall-clock time of the run.
-    :param cpu_time_s: CPU time of the coordinating process (worker
-        CPU time is not included when ``workers > 1``).
+    :param cpu_time_s: CPU time of the whole process, every pricing
+        thread included.
     :param peak_tile_bytes: workspace high-water mark of the largest
-        worker (preallocated S/V tiles + scratch).
+        thread (preallocated S/V tiles + scratch).
     :param retries: chunk attempts re-dispatched after a failure
-        (worker exception, timeout, crash or non-finite prices).
-    :param timeouts: chunk attempts that overran ``chunk_timeout_s``.
-    :param pool_rebuilds: times the worker pool was torn down and
-        rebuilt after a pool-level failure.
-    :param degraded_to_serial: 1 if the circuit breaker opened and the
-        rest of the batch completed on the serial in-process path.
+        (pricing exception, simulated crash or non-finite prices).
+    :param timeouts: chunks given up after overrunning
+        ``chunk_timeout_s`` (their options come back NaN with
+        ``ChunkTimeoutError`` records).
     :param quarantined_options: options isolated by quarantine
         bisection and returned as NaN with a
         :class:`~repro.engine.reliability.FailureRecord`.
@@ -141,7 +133,7 @@ class EngineStats:
     :param bump_passes: vega/rho bump-and-reprice passes scheduled as
         sibling chunk groups (4 per greeks run, 0 otherwise).
     :param backend: name of the :class:`~repro.backends.KernelBackend`
-        that priced the run (``"numpy"``, ``"cnative"``, ``"numba"``).
+        that priced the run (``"numpy"`` or ``"cnative"``).
     :param backend_compile_seconds: one-time compile cost this process
         paid to make that backend runnable (0.0 for NumPy, or when a
         compiled backend was already warm/disk-cached).
@@ -161,8 +153,6 @@ class EngineStats:
     peak_tile_bytes: int
     retries: int = 0
     timeouts: int = 0
-    pool_rebuilds: int = 0
-    degraded_to_serial: int = 0
     quarantined_options: int = 0
     greeks_options: int = 0
     bump_passes: int = 0

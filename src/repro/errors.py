@@ -79,7 +79,7 @@ class EngineError(ReproError):
     """Base class for batched-pricing-engine failures.
 
     Chunk-level failures inside :class:`~repro.engine.PricingEngine`
-    (worker exceptions, deadline overruns, crashed processes, poison
+    (pricing exceptions, deadline overruns, simulated crashes, poison
     inputs) are normalised to this taxonomy so callers never see a bare
     ``RuntimeError`` or a ``concurrent.futures`` internal leak through
     the API boundary.
@@ -91,7 +91,7 @@ class ChunkTimeoutError(EngineError):
 
 
 class WorkerCrashError(EngineError):
-    """A worker process died mid-chunk (e.g. ``BrokenProcessPool``)."""
+    """A pricing call crashed mid-chunk (injected by a ``KILL`` fault)."""
 
 
 class PoisonChunkError(EngineError):
@@ -101,8 +101,8 @@ class PoisonChunkError(EngineError):
 class BackendUnavailableError(EngineError):
     """A requested :class:`~repro.backends.KernelBackend` cannot run here.
 
-    Raised when a backend's toolchain is missing (no ``numba`` import,
-    no working C compiler) or its compilation fails.  ``auto``
+    Raised when a backend's toolchain is missing (no working C
+    compiler) or its compilation fails.  ``auto``
     resolution catches this and falls through to the next candidate,
     ending at the always-available NumPy backend; an *explicitly*
     requested backend propagates it so a pinned configuration never

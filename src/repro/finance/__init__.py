@@ -12,7 +12,6 @@ from .binomial import (
     PricingResult,
     exercise_boundary,
     price_binomial,
-    price_binomial_batch,
     price_binomial_scalar,
 )
 from .black_scholes import BSGreeks, bs_greeks, bs_price
@@ -80,7 +79,6 @@ __all__ = [
     "PricingResult",
     "price_binomial",
     "price_binomial_scalar",
-    "price_binomial_batch",
     "exercise_boundary",
     "bs_price",
     "bs_greeks",

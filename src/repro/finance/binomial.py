@@ -12,9 +12,8 @@ reference implementations used throughout the library:
 * :func:`price_binomial` — a numpy-vectorised pricer (vector over tree
   rows) that produces identical results in double precision and is fast
   enough to run the paper's full configuration (N=1024, thousands of
-  options) inside the accuracy experiments.
-* :func:`price_binomial_batch` — removed in repro 2.0 (raising stub
-  with the migration table; batches go through :func:`repro.api.price`).
+  options) inside the accuracy experiments.  Batches go through
+  :func:`repro.api.price`.
 
 All pricers support single precision (``dtype=np.float32``) because
 Table II reports a single-precision software reference row whose RMSE
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FinanceError, ReproError
+from ..errors import FinanceError
 from .lattice import LatticeFamily, LatticeParams, build_lattice_params
 from .options import Option
 
@@ -35,7 +34,6 @@ __all__ = [
     "PricingResult",
     "price_binomial",
     "price_binomial_scalar",
-    "price_binomial_batch",
     "exercise_boundary",
 ]
 
@@ -150,30 +148,6 @@ def price_binomial_scalar(
         params=params,
         tree_nodes=params.interior_work_items + steps + 1,
     )
-
-
-def price_binomial_batch(*args, **kwargs):
-    """Removed in repro 2.0 — use :func:`repro.api.price`.
-
-    This stub exists only so stragglers get a migration pointer
-    instead of an ``ImportError``:
-
-    ==========================================  =====================================
-    Before                                      After
-    ==========================================  =====================================
-    ``price_binomial_batch(opts, steps=N)``     ``repro.price(opts, steps=N).prices``
-    ``price_binomial_batch(..., workers=4)``    ``repro.price(opts, steps=N,``
-                                                ``            workers=4).prices``
-    ``price_binomial_batch(...,``               ``repro.price(opts, steps=N,``
-    ``    dtype=np.float32)``                   ``    precision="single").prices``
-    ==========================================  =====================================
-
-    :raises ReproError: always.
-    """
-    raise ReproError(
-        "price_binomial_batch was removed in repro 2.0; use "
-        "repro.price(options, steps=...).prices — see the migration "
-        "table in repro.api")
 
 
 def exercise_boundary(

@@ -42,7 +42,6 @@ from .trace import (
     NullSpan,
     NullTracer,
     Span,
-    SpanContext,
     Tracer,
     as_tracer,
     max_depth,
@@ -75,7 +74,6 @@ __all__ = [
     "keys",
     # trace
     "Span",
-    "SpanContext",
     "Tracer",
     "NullSpan",
     "NullTracer",

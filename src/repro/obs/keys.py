@@ -108,8 +108,11 @@ __all__ = [
 #: :class:`~repro.backends.KernelBackend` priced the run),
 #: ``backend_compile_seconds`` (one-time JIT/C compile cost this
 #: process paid for it) and ``fused_greeks`` (1 when a greeks run took
-#: the single-build fused path instead of five sibling passes).
-STATS_SCHEMA = "repro-engine-stats/v4"
+#: the single-build fused path instead of five sibling passes).  v9
+#: (the line continues after the sweep document's v8) drops the two
+#: process-pool counters (pool rebuilds, degradation to serial): the
+#: engine prices on threads and has no process pool any more.
+STATS_SCHEMA = "repro-engine-stats/v9"
 
 #: ``EngineStats.as_dict()`` keys, in their one canonical order.  The
 #: bench-engine JSON ``runs`` entries use exactly these keys (plus the
@@ -127,8 +130,6 @@ STATS_KEYS = (
     "tree_nodes_per_second",
     "retries",
     "timeouts",
-    "pool_rebuilds",
-    "degraded_to_serial",
     "quarantined_options",
     "greeks_options",
     "bump_passes",
@@ -141,8 +142,6 @@ STATS_KEYS = (
 RELIABILITY_KEYS = (
     "retries",
     "timeouts",
-    "pool_rebuilds",
-    "degraded_to_serial",
     "quarantined_options",
 )
 
@@ -156,8 +155,6 @@ GREEKS_OPTIONS_TOTAL = "repro_engine_greeks_options_total"
 BUMP_PASSES_TOTAL = "repro_engine_bump_passes_total"
 RETRIES_TOTAL = "repro_engine_retries_total"
 TIMEOUTS_TOTAL = "repro_engine_timeouts_total"
-POOL_REBUILDS_TOTAL = "repro_engine_pool_rebuilds_total"
-DEGRADED_TO_SERIAL_TOTAL = "repro_engine_degraded_to_serial_total"
 QUARANTINED_OPTIONS_TOTAL = "repro_engine_quarantined_options_total"
 CHUNK_LATENCY_SECONDS = "repro_engine_chunk_latency_seconds"
 RUN_WALL_SECONDS = "repro_engine_run_wall_seconds"
@@ -420,8 +417,6 @@ STATS_TO_METRIC = {
     "tree_nodes": TREE_NODES_TOTAL,
     "retries": RETRIES_TOTAL,
     "timeouts": TIMEOUTS_TOTAL,
-    "pool_rebuilds": POOL_REBUILDS_TOTAL,
-    "degraded_to_serial": DEGRADED_TO_SERIAL_TOTAL,
     "quarantined_options": QUARANTINED_OPTIONS_TOTAL,
     "greeks_options": GREEKS_OPTIONS_TOTAL,
     "bump_passes": BUMP_PASSES_TOTAL,

@@ -9,16 +9,13 @@ hierarchy mirrors the execution model end to end::
     └─ group                 homogeneous (steps, family, profile) group
        └─ chunk              one scheduled tile
           └─ attempt         one pricing attempt (retries add siblings)
+             └─ worker       the pricing call on its thread
              └─ queue:*      simulated OpenCL queue commands
 
-Timestamps come from ``time.perf_counter_ns`` (CLOCK_MONOTONIC), which
-on Linux is system-wide: spans recorded inside pool worker processes
-mesh onto the parent's timeline without translation.  Workers cannot
-share the parent's ``Tracer`` object, so the pool boundary is crossed
-by value: the engine sends a :class:`SpanContext` with the work, the
-worker records its spans locally and returns them serialised
-(``Span.as_dict``), and the parent re-attaches them with
-:meth:`Span.adopt`.
+Timestamps come from ``time.perf_counter_ns`` (CLOCK_MONOTONIC).  The
+engine's pricing threads record their ``attempt``/``worker`` spans
+straight into the tree: each thread owns the subtree of the chunk it
+prices.
 
 When tracing is off, every instrumentation site talks to the module
 singletons :data:`NULL_TRACER` / :data:`NULL_SPAN`, whose methods are
@@ -31,12 +28,10 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 __all__ = [
     "Span",
-    "SpanContext",
     "Tracer",
     "NullSpan",
     "NullTracer",
@@ -48,21 +43,6 @@ __all__ = [
 
 _now_ns = time.perf_counter_ns
 _trace_ids = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """The picklable identity of a span, for crossing process borders.
-
-    :param trace_id: identifier of the owning trace (one per tracer).
-    :param path: names from the root span down to the span itself.
-    """
-
-    trace_id: str
-    path: "tuple[str, ...]"
-
-    def child_path(self, name: str) -> "tuple[str, ...]":
-        return self.path + (name,)
 
 
 class Span:
@@ -123,19 +103,6 @@ class Span:
         """Record a timestamped event on the span (retry, quarantine, ...)."""
         self.annotations.append((_now_ns(), message, attrs))
         return self
-
-    def adopt(self, serialized: "Sequence[dict]") -> "Span":
-        """Re-attach spans serialised in another process as children."""
-        for payload in serialized:
-            self.children.append(Span.from_dict(payload))
-        return self
-
-    def context(self, trace_id: str,
-                parent: "SpanContext | None" = None) -> SpanContext:
-        """This span's :class:`SpanContext` for handing to a worker."""
-        path = (parent.child_path(self.name) if parent is not None
-                else (self.name,))
-        return SpanContext(trace_id=trace_id, path=path)
 
     # -- time --------------------------------------------------------------
 
@@ -224,12 +191,6 @@ class NullSpan:
 
     def annotate(self, message: str, **attrs) -> "NullSpan":
         return self
-
-    def adopt(self, serialized) -> "NullSpan":
-        return self
-
-    def context(self, trace_id, parent=None) -> None:
-        return None
 
     def as_dict(self) -> dict:
         return {}
@@ -320,19 +281,3 @@ def max_depth(span_dict: dict) -> int:
     if not children:
         return 1
     return 1 + max(max_depth(child) for child in children)
-
-
-def _worker_record(context: "SpanContext | None", name: str, kind: str,
-                   **attrs) -> "Span | NullSpan":
-    """Start a worker-local span for work described by ``context``.
-
-    Helper for pool workers: with no context (tracing disabled) the
-    shared :data:`NULL_SPAN` comes back, so the worker hot path stays
-    allocation-free.
-    """
-    if context is None:
-        return NULL_SPAN
-    span = Span(name, kind, **attrs)
-    span.attrs.setdefault("trace_id", context.trace_id)
-    span.attrs.setdefault("parent_path", "/".join(context.path))
-    return span

@@ -3,8 +3,8 @@
 The serving layer needs an answer to "should traffic be routed here?"
 that is cheaper and earlier than waiting for requests to fail.  This
 module provides it as a small, thread-safe state machine fed by the
-signals the engine already emits — flush-level failures, circuit
-breaker degradation (``degraded_to_serial``/``pool_rebuilds`` in
+signals the engine already emits — flush-level failures, chunks given
+up on timeout (``timeouts`` in
 :class:`~repro.engine.stats.EngineStats`) — plus the supervisor's own
 restart bookkeeping:
 
@@ -190,9 +190,8 @@ class HealthMonitor:
 
         :param failed: the flush raised at the batch level (its
             requests were retried individually).
-        :param degraded: the flush succeeded but the engine reported
-            circuit-breaker activity (``degraded_to_serial`` or
-            ``pool_rebuilds``).
+        :param degraded: the flush succeeded but the engine gave up a
+            chunk on timeout (``timeouts``).
         """
         with self._lock:
             self._flushes += 1
@@ -219,7 +218,7 @@ class HealthMonitor:
                                 "flush failed; requests re-ran individually")
             elif degraded:
                 self._set_state(HealthState.DEGRADED,
-                                "engine reported circuit-breaker activity")
+                                "engine gave up a chunk on timeout")
             elif rate >= policy.degraded_failure_rate:
                 self._set_state(
                     HealthState.DEGRADED,

@@ -221,7 +221,7 @@ class ServiceConfig:
         beyond it raise :class:`ServiceOverloadedError`.
     :param cache_bytes: result-cache payload budget (0 disables
         caching; in-flight dedup still works).
-    :param workers: engine worker processes, shorthand for
+    :param workers: pricing threads per engine, shorthand for
         ``engine_config=EngineConfig(workers=...)``.
     :param engine_config: full :class:`~repro.engine.EngineConfig` for
         the engines the service owns; mutually exclusive with
@@ -885,14 +885,15 @@ class PricingService:
             self._flush_individually(entries, flush_start, span)
             span.end()
             return
-        stats = result.stats
-        degraded = bool(stats is not None and (stats.degraded_to_serial
-                                               or stats.pool_rebuilds))
-        self._note_flush(failed=False, degraded=degraded)
+        # A chunk given up on timeout may still hold one of the
+        # engine's threads; swap the engine rather than keep pricing
+        # on a short-handed one.
+        timed_out = bool(result.stats is not None and result.stats.timeouts)
+        self._note_flush(failed=False, degraded=timed_out)
         wedged = self._chaos is not None and self._chaos.wedge_engine()
-        if degraded or wedged:
+        if timed_out or wedged:
             self._supervise(merged, "chaos-injected wedge" if wedged
-                            else "engine degraded to serial")
+                            else "engine timed out a chunk")
         scatter = span.child("scatter", "scatter", requests=len(entries))
         lo = 0
         for pending in entries:

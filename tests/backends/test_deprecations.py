@@ -1,15 +1,11 @@
-"""The legacy batch entry points are gone: the raising stubs name the
-replacement, and the replacement produces the same values the wrappers
-used to delegate to."""
+"""The legacy batch entry points are gone: the replacement produces
+the values the old wrappers used to delegate to."""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core.accelerator import BinomialAccelerator
-from repro.errors import ReproError
 from repro.finance import generate_batch
-from repro.finance.binomial import price_binomial_batch
 
 STEPS = 16
 
@@ -20,37 +16,7 @@ def batch():
 
 
 class TestPriceBinomialBatch:
-    def test_stub_raises_and_names_replacement(self, batch):
-        with pytest.raises(ReproError, match=r"removed in repro 2\.0"):
-            price_binomial_batch(batch, steps=STEPS)
-        with pytest.raises(ReproError, match=r"repro\.price"):
-            price_binomial_batch(batch, steps=STEPS)
-
-    def test_stub_still_importable_from_finance(self):
-        # the import path survives removal so stragglers hit the
-        # migration message, not an ImportError
-        assert repro.finance.price_binomial_batch is price_binomial_batch
-
     def test_replacement_covers_the_old_contract(self, batch):
         result = repro.price(batch, steps=STEPS)
         assert result.prices.shape == (len(batch),)
         assert np.all(np.isfinite(result.prices))
-
-
-class TestAcceleratorPriceBatch:
-    def test_stub_raises_and_names_replacement(self, batch):
-        accelerator = BinomialAccelerator(platform="fpga", kernel="iv_b",
-                                          steps=STEPS)
-        try:
-            with pytest.raises(ReproError, match=r"removed in repro 2\.0"):
-                accelerator.price_batch(batch)
-            with pytest.raises(ReproError, match=r"device=<accelerator>"):
-                accelerator.price_batch(batch)
-            # the replacement runs on the same accelerator instance
-            modeled = repro.price(batch, steps=STEPS,
-                                  device=accelerator).modeled
-        finally:
-            accelerator.close()
-        np.testing.assert_array_equal(
-            modeled.prices,
-            repro.price(batch, steps=STEPS, device="fpga").prices)

@@ -121,6 +121,43 @@ class TestEngineAndGreeksParity:
                 getattr(runs["cnative"], field),
                 getattr(runs["numpy"], field), err_msg=field)
 
+    @pytest.mark.parametrize("seed", (None, 101, 202, 303))
+    @pytest.mark.parametrize("workers", (2, 3))
+    @pytest.mark.parametrize("task", ("price", "greeks"))
+    @pytest.mark.parametrize("kernel", ("iv_a", "iv_b", "reference"))
+    def test_threaded_runs_bitwise_equal_inline(self, kernel, task,
+                                                workers, seed):
+        """Threads change the schedule only: every kernel and task,
+        on either backend and under a healing fault plan, returns the
+        bits of the inline numpy run."""
+        from repro.engine import EngineConfig, PricingEngine
+        from repro.engine.faults import FaultPlan
+
+        batch = batch_for(ExerciseStyle.AMERICAN)
+        plan = None if seed is None else FaultPlan.random(seed, len(batch))
+
+        def run(backend, threads):
+            config = EngineConfig(backend=backend, workers=threads,
+                                  chunk_options=2, backoff_base_s=0.0)
+            with PricingEngine(kernel=kernel, config=config,
+                               faults=plan) as eng:
+                if task == "price":
+                    result = eng.run(batch, 64)
+                    return result, {"prices": result.prices}
+                result = eng.run_greeks(batch, 64)
+                return result, {field: getattr(result, field)
+                                for field in ("prices", "delta", "gamma",
+                                              "theta", "vega", "rho")}
+
+        _, inline = run("numpy", 1)
+        for backend in ("numpy", "cnative"):
+            result, threaded = run(backend, workers)
+            assert result.failures == ()
+            assert result.stats.workers == workers
+            for field, values in inline.items():
+                np.testing.assert_array_equal(threaded[field], values,
+                                              err_msg=field)
+
 
 @requires_cnative
 class TestFaultInjectionBackendIndependence:

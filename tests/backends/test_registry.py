@@ -12,7 +12,6 @@ from repro.backends import (
     get_backend,
     resolve_backend,
 )
-from repro.backends.numba_backend import NumbaBackend
 from repro.engine import EngineConfig, PricingEngine
 from repro.errors import BackendUnavailableError, EngineError, ReproError
 from repro.finance import generate_batch
@@ -23,6 +22,34 @@ STEPS = 16
 @pytest.fixture(scope="module")
 def batch():
     return list(generate_batch(n_options=6, seed=5).options)
+
+
+@pytest.fixture()
+def pristine_registry(monkeypatch, tmp_path):
+    """Sabotage-safe registry: no caches, no on-disk .so.
+
+    The compiled-library disk cache would mask a broken compiler
+    (a prior good build satisfies the lookup without ever running
+    ``cc``), so the cache root is pointed at an empty tmp dir; the
+    per-process instance/failure/warned caches are snapshotted and
+    restored so sabotage never leaks into other tests.
+    """
+    from repro.backends import registry
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    saved = (dict(registry._instances), dict(registry._failures),
+             set(registry._fallbacks_warned))
+    registry._instances.clear()
+    registry._failures.clear()
+    registry._fallbacks_warned.clear()
+    yield registry
+    registry._instances.clear()
+    registry._failures.clear()
+    registry._fallbacks_warned.clear()
+    registry._instances.update(saved[0])
+    registry._failures.update(saved[1])
+    registry._fallbacks_warned.update(saved[2])
 
 
 class TestRegistry:
@@ -43,13 +70,6 @@ class TestRegistry:
         resolved = resolve_backend("auto")
         assert resolved.name == available_backends()[0]
         assert tuple(AUTO_ORDER)[-1] == "numpy"  # the floor
-
-    def test_numba_unavailable_raises_with_install_hint(self):
-        if NumbaBackend.available():
-            pytest.skip("numba importable in this environment")
-        with pytest.raises(BackendUnavailableError,
-                           match=r"repro\[compiled\]"):
-            get_backend("numba")
 
     def test_env_override_beats_requested_name(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
@@ -77,12 +97,12 @@ class TestEngineWiring:
         for name in BACKENDS:
             assert EngineConfig(backend=name).backend == name
 
-    def test_engine_construction_fails_fast_when_unavailable(self):
-        if NumbaBackend.available():
-            pytest.skip("numba importable in this environment")
+    def test_engine_construction_fails_fast_when_unavailable(
+            self, monkeypatch, pristine_registry):
+        monkeypatch.setenv("REPRO_CC", "false")  # exits 1 on any input
         with pytest.raises(BackendUnavailableError):
             PricingEngine(kernel="iv_b",
-                          config=EngineConfig(backend="numba"))
+                          config=EngineConfig(backend="cnative"))
 
     def test_stats_and_describe_carry_backend_identity(self, batch):
         with PricingEngine(kernel="iv_b",
@@ -135,33 +155,6 @@ class TestAutoFallbackHardening:
     ``repro_backend_fallback_total`` counter — never raise, never
     silently pretend the fast path existed.
     """
-
-    @pytest.fixture()
-    def pristine_registry(self, monkeypatch, tmp_path):
-        """Sabotage-safe registry: no caches, no on-disk .so, no numba.
-
-        The compiled-library disk cache would mask a broken compiler
-        (a prior good build satisfies the lookup without ever running
-        ``cc``), so the cache root is pointed at an empty tmp dir; the
-        per-process instance/failure/warned caches are snapshotted and
-        restored so sabotage never leaks into other tests.
-        """
-        from repro.backends import registry
-
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        saved = (dict(registry._instances), dict(registry._failures),
-                 set(registry._fallbacks_warned))
-        registry._instances.clear()
-        registry._failures.clear()
-        registry._fallbacks_warned.clear()
-        yield registry
-        registry._instances.clear()
-        registry._failures.clear()
-        registry._fallbacks_warned.clear()
-        registry._instances.update(saved[0])
-        registry._failures.update(saved[1])
-        registry._fallbacks_warned.update(saved[2])
 
     def test_sabotaged_compiler_falls_back_to_numpy_with_warning(
             self, monkeypatch, pristine_registry):

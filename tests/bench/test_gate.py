@@ -1,6 +1,7 @@
 """The shared bench envelope (repro-bench/v2) and the regression gate."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +102,35 @@ class TestLoad:
             loaded = load_benchmark(path)
             assert loaded["envelope"] in (BENCH_ENVELOPE_V1,
                                           BENCH_ENVELOPE_SCHEMA)
+
+
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks"
+
+
+class TestShippedBaselinesAgreeWithThemselves:
+    """A bench document must never contradict itself: the gates compare
+    against these stored rates, so each must follow from the run's own
+    numbers."""
+
+    @pytest.mark.parametrize("name", ("BENCH_engine.quick.json",
+                                      "BENCH_greeks.quick.json"))
+    def test_run_rate_is_options_over_wall_time(self, name):
+        document = load_benchmark(BASELINES / name)
+        runs = [run for result in document["results"]
+                for run in result["runs"]]
+        assert runs
+        for run in runs:
+            assert run["options_per_second"] == pytest.approx(
+                run["options"] / run["wall_time_s"], rel=1e-9), run
+
+    def test_engine_speedup_is_rate_over_baseline_rate(self):
+        document = load_benchmark(BASELINES / "BENCH_engine.quick.json")
+        for result in document["results"]:
+            baseline_rate = result["baseline"]["options_per_second"]
+            for run in result["runs"]:
+                assert run["speedup_vs_baseline"] == pytest.approx(
+                    run["options_per_second"] / baseline_rate,
+                    rel=1e-9), run
 
 
 class TestRegressionGate:

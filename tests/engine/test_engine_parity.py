@@ -1,9 +1,10 @@
 """Engine parity: scheduling must never change a single bit.
 
 The engine restructures *how* batches are priced (grouping, chunking,
-process fan-out, workspace reuse); these tests pin the contract that
+thread fan-out, workspace reuse); these tests pin the contract that
 the prices are bit-identical to calling the kernel simulators
-directly, for every math profile, chunk size and worker count.
+directly, for every math profile, chunk size and thread count (3
+threads do not divide the chunks evenly).
 """
 
 import random
@@ -33,7 +34,7 @@ def batch():
 
 @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.name)
 @pytest.mark.parametrize("chunk", (1, 7, BATCH, BATCH + 1))
-@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("workers", (1, 2, 3))
 @pytest.mark.parametrize("kernel,simulator", (
     ("iv_b", simulate_kernel_b_batch),
     ("iv_a", simulate_kernel_a_batch),
@@ -47,7 +48,7 @@ def test_bit_identical_to_simulator(batch, kernel, simulator, profile,
     np.testing.assert_array_equal(prices, expected)
 
 
-@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("workers", (1, 2, 3))
 def test_reliability_layer_preserves_bit_identity(batch, workers):
     """No faults, no failures: the retry/quarantine machinery must not
     change a single bit, and the failure channel stays empty."""
@@ -60,8 +61,6 @@ def test_reliability_layer_preserves_bit_identity(batch, workers):
     assert result.failures == ()
     assert result.stats.retries == 0
     assert result.stats.timeouts == 0
-    assert result.stats.pool_rebuilds == 0
-    assert result.stats.degraded_to_serial == 0
     assert result.stats.quarantined_options == 0
 
 
@@ -86,7 +85,7 @@ def test_auto_chunking_matches_pinned(batch):
 class TestInputOrder:
     """Shuffled, heterogeneous-steps streams come back in input order."""
 
-    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("workers", (1, 2, 3))
     def test_heterogeneous_steps_scatter_back(self, workers):
         rng = random.Random(1234)
         pool = list(generate_batch(n_options=24, seed=5).options)

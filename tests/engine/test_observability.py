@@ -9,6 +9,8 @@ with no tracer the engine produces bit-identical prices and records
 no spans.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -82,19 +84,29 @@ class TestSpanTree:
         covered = chunk_span_seconds(tracer.as_dicts()[0])
         assert covered == pytest.approx(result.stats.wall_time_s, rel=0.10)
 
-    def test_pool_run_adopts_worker_spans(self, batch, expected):
+    def test_threaded_run_nests_worker_spans(self, batch, expected):
         tracer = Tracer()
         result = run_traced(batch, tracer, workers=2)
         assert np.array_equal(result.prices, expected)
         root = tracer.as_dicts()[0]
-        assert max_depth(root) >= 5
-        workers = spans_of_kind(root, "worker")
-        assert len(workers) == result.stats.chunks
-        assert all(w["attrs"]["pid"] != 0 for w in workers)
-        # worker clocks are CLOCK_MONOTONIC system-wide: they must land
-        # inside the run span's window without any translation
-        for w in workers:
-            assert root["start_ns"] <= w["start_ns"] <= root["end_ns"]
+        # run -> group -> chunk -> attempt -> worker, recorded in place
+        assert max_depth(root) == 5
+        groups = spans_of_kind(root, "group")
+        chunks = [c for g in groups for c in g["children"]]
+        assert [c["kind"] for c in chunks] == ["chunk"] * result.stats.chunks
+        # chunk spans open in plan order, whatever the thread timing
+        firsts = [c["attrs"]["first_index"] for c in chunks]
+        assert firsts == sorted(firsts)
+        for chunk in chunks:
+            (attempt,) = chunk["children"]
+            assert attempt["kind"] == "attempt"
+            (worker,) = attempt["children"]
+            assert worker["kind"] == "worker"
+            assert worker["attrs"]["thread"].startswith("repro-engine")
+            assert (attempt["start_ns"] <= worker["start_ns"]
+                    <= worker["end_ns"] <= attempt["end_ns"])
+            assert root["start_ns"] <= chunk["start_ns"]
+            assert chunk["end_ns"] <= root["end_ns"]
 
     def test_run_span_carries_stats_attrs(self, batch):
         tracer = Tracer()
@@ -187,6 +199,31 @@ class TestMetricsAgreement:
         samples = parse_prometheus(text)
         assert samples[keys.QUARANTINED_OPTIONS_TOTAL] == len(result.failures)
         assert samples[keys.RETRIES_TOTAL] == result.stats.retries > 0
+
+
+    def test_threaded_counts_survive_thread_switches(self, batch, expected):
+        # more threads than cores and a tiny switch interval: a count
+        # the pricing threads updated themselves would lose increments
+        plan = FaultPlan.random(seed=7, n_options=len(batch), n_faults=8,
+                                kinds=(FaultKind.RAISE,), attempts=1)
+        tracer = Tracer()
+        hermetic = MetricsRegistry()
+        previous = set_registry(hermetic)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_traced(batch, tracer, workers=8, faults=plan,
+                                chunk_options=1)
+            text = hermetic.render_prometheus()
+        finally:
+            sys.setswitchinterval(interval)
+            set_registry(previous)
+        assert np.array_equal(result.prices, expected)
+        samples = parse_prometheus(text)
+        assert result.stats.retries == samples[keys.RETRIES_TOTAL] == 8
+        assert samples[f"{keys.CHUNK_LATENCY_SECONDS}_count"] == len(batch)
+        root = tracer.as_dicts()[0]
+        assert len(spans_of_kind(root, "attempt")) == len(batch) + 8
 
 
 class TestCloseSemantics:

@@ -6,21 +6,22 @@ The reliability layer's contract, pinned mode by mode:
   bit-identical;
 * a poison option is quarantined down to a single NaN price plus a
   structured ``FailureRecord`` — the other N-1 prices are untouched;
-* a hung chunk is cut off at ``chunk_timeout_s`` and the pool rebuilt;
-* a killed worker process (``os._exit``) costs one pool rebuild, a
-  second pool failure degrades the run to the serial path;
+* a chunk still running at ``chunk_timeout_s`` is given up: its
+  options come back NaN with ``ChunkTimeoutError`` records, and the
+  hung thread's late result never reaches the returned run;
+* a simulated crash (``KILL``) raises ``WorkerCrashError`` and is
+  retried like any other failure;
 * simulated transport failures (OpenCL queue, PCIe link) raise
   ``TransportFaultError`` on a seeded, reproducible schedule and are
   recoverable with ``retry_call``;
-* closing the engine mid-run cancels the in-flight work and leaks no
-  worker processes.
+* closing the engine mid-run cancels the in-flight work, and its
+  threads exit once the hung call returns.
 
 ``REPRO_FAULT_SEED`` offsets every seed used here; the CI
 fault-injection job runs this file under three fixed values, separate
 from tier-1, so a flake is attributable to a specific schedule.
 """
 
-import multiprocessing
 import os
 import threading
 import time
@@ -41,6 +42,7 @@ from repro.engine import (
     retry_call,
 )
 from repro.errors import (
+    ChunkTimeoutError,
     EngineError,
     FinanceError,
     ReproError,
@@ -67,6 +69,28 @@ def run_with_faults(batch, plan, **config):
     with PricingEngine(config=EngineConfig(**{**NO_BACKOFF, **config}),
                        faults=plan) as engine:
         return engine.run(batch, STEPS)
+
+
+def join_threads_started_since(before, timeout=10.0):
+    """Join every thread not in ``before``; returns those still alive."""
+    started = [thread for thread in threading.enumerate()
+               if thread not in before
+               and thread is not threading.current_thread()]
+    for thread in started:
+        thread.join(timeout)
+    return [thread for thread in started if thread.is_alive()]
+
+
+def assert_timed_out(result, indices, expected):
+    """``indices`` came back NaN with ChunkTimeoutError records, and
+    every other option is bit-identical to ``expected``."""
+    mask = np.ones(len(expected), dtype=bool)
+    mask[list(indices)] = False
+    np.testing.assert_array_equal(result.prices[mask], expected[mask])
+    assert np.isnan(result.prices[list(indices)]).all()
+    timed_out = [f for f in result.failures if f.error == "ChunkTimeoutError"]
+    assert [f.index for f in timed_out] == list(indices)
+    assert all(isinstance(f.exception, ChunkTimeoutError) for f in timed_out)
 
 
 class TestInjectedRaise:
@@ -120,45 +144,27 @@ class TestNaNPoison:
 
 
 class TestHangAndTimeout:
-    def test_hung_chunk_times_out_and_pool_rebuilds(self, batch, expected):
-        plan = FaultPlan.single(0, FaultKind.HANG, attempts=1, hang_s=3.0,
+    def test_hung_chunk_is_given_up_at_the_timeout(self, batch, expected):
+        # a hang that would heal on retry is still given up, not
+        # retried: the thread holding it cannot be preempted
+        plan = FaultPlan.single(0, FaultKind.HANG, attempts=1, hang_s=1.5,
                                 seed=SEED)
         result = run_with_faults(batch, plan, workers=2, chunk_options=8,
-                                 max_retries=2, chunk_timeout_s=0.5)
-        np.testing.assert_array_equal(result.prices, expected)
+                                 max_retries=2, chunk_timeout_s=0.3)
+        assert_timed_out(result, range(8), expected)
+        assert len(result.failures) == 8
         assert result.stats.timeouts == 1
-        assert result.stats.pool_rebuilds == 1
-        assert result.failures == ()
+        assert result.stats.retries == 0
+        assert result.stats.quarantined_options == 0
 
 
 class TestWorkerKill:
-    def test_killed_worker_costs_one_pool_rebuild(self, batch, expected):
-        plan = FaultPlan.single(0, FaultKind.KILL, attempts=1, seed=SEED)
-        result = run_with_faults(batch, plan, workers=2, chunk_options=8,
-                                 max_retries=2)
-        np.testing.assert_array_equal(result.prices, expected)
-        assert result.stats.pool_rebuilds == 1
-        assert result.stats.retries >= 1
-        assert result.failures == ()
-
     def test_serial_path_simulates_kill_without_dying(self, batch, expected):
         plan = FaultPlan.single(0, FaultKind.KILL, attempts=1, seed=SEED)
         result = run_with_faults(batch, plan, workers=1, chunk_options=8,
                                  max_retries=2)
         np.testing.assert_array_equal(result.prices, expected)
         assert result.stats.retries >= 1
-
-
-class TestDegradation:
-    def test_repeated_pool_failures_degrade_to_serial(self, batch, expected):
-        plan = FaultPlan(specs=(
-            FaultSpec(option_index=0, kind=FaultKind.KILL, attempts=2),
-        ), seed=SEED)
-        result = run_with_faults(batch, plan, workers=2, chunk_options=8,
-                                 max_retries=3)
-        np.testing.assert_array_equal(result.prices, expected)
-        assert result.stats.degraded_to_serial == 1
-        assert result.stats.pool_rebuilds == 1
 
 
 class TestAcceptanceScenario:
@@ -175,20 +181,29 @@ class TestAcceptanceScenario:
         ), seed=SEED)
         config = EngineConfig(workers=2, chunk_options=64, max_retries=1,
                               chunk_timeout_s=0.5, **NO_BACKOFF)
+        before = set(threading.enumerate())
         with PricingEngine(config=config, faults=plan) as engine:
             result = engine.run(batch, STEPS)
+        prices = result.prices.copy()
+        failures = result.failures
 
-        mask = np.ones(1024, dtype=bool)
-        mask[500] = False
-        np.testing.assert_array_equal(result.prices[mask], expected[mask])
-        assert np.isnan(result.prices[500])
-        (record,) = result.failures
-        assert record.index == 500
+        # the crash healed on retry; the hung chunk [64, 128) was given
+        # up; the poison option was quarantined on its own
+        expected[500] = np.nan
+        assert_timed_out(result, range(64, 128), expected)
+        poisoned = [f for f in result.failures if f.index == 500]
+        assert [f.error for f in poisoned] == ["PoisonChunkError"]
+        assert len(result.failures) == 64 + 1
         stats = result.stats
         assert stats.retries > 0
-        assert stats.pool_rebuilds > 0
         assert stats.quarantined_options == 1
-        assert stats.timeouts > 0
+        assert stats.timeouts == 1
+
+        # the hung thread wakes, prices its chunk and is dropped: the
+        # run it was given up by does not change
+        assert join_threads_started_since(before) == []
+        np.testing.assert_array_equal(result.prices, prices)
+        assert result.failures == failures
 
 
 class TestSeededPlans:
@@ -444,15 +459,15 @@ class TestClampTimeout:
         finally:
             engine.close()
 
-    def test_hung_chunk_times_out_against_the_deadline(self, batch):
+    def test_hung_chunk_times_out_against_the_deadline(self, batch,
+                                                       expected):
         # the config carries NO chunk_timeout_s: the only bound on this
-        # 30s hang is the per-run deadline.  The wedged chunk must be
-        # cut off at ~0.2s (counted as a timeout, pool rebuilt) and the
-        # retry then heals it — the deadline never holds a flush
-        # hostage.  Note chunk_options < len(batch): a single-chunk run
-        # takes the serial path, which cannot preempt itself.
+        # 3s hang is the per-run deadline.  The wedged chunk must be
+        # given up at ~0.2s — the deadline never holds a flush hostage.
+        # Note chunk_options < len(batch): a single-chunk run prices
+        # inline, which cannot preempt itself.
         plan = FaultPlan.single(0, FaultKind.HANG, attempts=1,
-                                hang_s=30.0, seed=SEED)
+                                hang_s=3.0, seed=SEED)
         engine = PricingEngine(
             config=EngineConfig(workers=2, chunk_options=8,
                                 max_retries=2, backoff_base_s=0.0),
@@ -464,21 +479,22 @@ class TestClampTimeout:
         finally:
             engine.close()
         assert result.stats.timeouts == 1
-        assert result.failures == ()  # the retry healed the hung chunk
-        assert wall < 10.0, f"deadline did not bound the hang ({wall:.1f}s)"
+        assert_timed_out(result, range(8), expected)
+        assert wall < 2.0, f"deadline did not bound the hang ({wall:.1f}s)"
 
 
 class TestCloseDuringFlight:
     """Regression: close() used to block on in-flight chunks and leak
-    the worker processes behind them."""
+    the workers behind them."""
 
     def test_close_cancels_inflight_run_and_leaks_no_workers(self, batch):
         plan = FaultPlan.single(0, FaultKind.HANG, attempts=ALWAYS,
-                                hang_s=30.0, seed=SEED)
+                                hang_s=2.0, seed=SEED)
         engine = PricingEngine(config=EngineConfig(workers=2, chunk_options=4,
                                                    **NO_BACKOFF),
                                faults=plan)
         errors = []
+        before = set(threading.enumerate())
 
         def run():
             try:
@@ -488,7 +504,7 @@ class TestCloseDuringFlight:
 
         thread = threading.Thread(target=run)
         thread.start()
-        time.sleep(0.8)  # let the pool spin up and the hang start
+        time.sleep(0.5)  # let the threads spin up and the hang start
 
         start = time.monotonic()
         engine.close()
@@ -499,13 +515,13 @@ class TestCloseDuringFlight:
             f"close() blocked {close_wall:.1f}s behind a hung chunk")
         assert not thread.is_alive()
         assert errors and isinstance(errors[0], EngineError)
-        assert multiprocessing.active_children() == []
+        # the hung pricing thread exits once its call returns
+        assert join_threads_started_since(before) == []
 
     def test_closed_engine_refuses_new_runs_on_every_route(self, batch,
                                                            expected):
-        # Reuse-after-close used to differ by route (the serial path
-        # silently resurrected the engine, the pool path raced the
-        # abandoned pool); both now raise the same EngineError.
+        # Reuse-after-close raises the same EngineError whether the
+        # engine prices inline or on threads.
         engine = PricingEngine(config=EngineConfig(chunk_options=8,
                                                    **NO_BACKOFF))
         np.testing.assert_array_equal(engine.price(batch, STEPS), expected)
@@ -518,10 +534,10 @@ class TestCloseDuringFlight:
         with pytest.raises(EngineError, match="closed"):
             engine.run_greeks(batch, STEPS)
 
-        pooled = PricingEngine(config=EngineConfig(workers=2,
-                                                   chunk_options=8,
-                                                   **NO_BACKOFF))
-        pooled.price(batch, STEPS)
-        pooled.close()
+        threaded = PricingEngine(config=EngineConfig(workers=2,
+                                                     chunk_options=8,
+                                                     **NO_BACKOFF))
+        threaded.price(batch, STEPS)
+        threaded.close()
         with pytest.raises(EngineError, match="closed"):
-            pooled.price(batch, STEPS)
+            threaded.price(batch, STEPS)

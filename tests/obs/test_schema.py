@@ -23,7 +23,11 @@ def make_stats(**overrides) -> EngineStats:
 
 class TestStatsKeys:
     def test_schema_tag(self):
-        assert keys.STATS_SCHEMA == "repro-engine-stats/v4"
+        assert keys.STATS_SCHEMA == "repro-engine-stats/v9"
+        # v9: the engine has no process pool to rebuild or degrade from
+        for removed in ("pool_rebuilds", "degraded_to_serial"):
+            assert removed not in keys.STATS_KEYS
+            assert removed not in keys.STATS_TO_METRIC
 
     def test_v4_backend_keys_present(self):
         assert "backend" in keys.STATS_KEYS
@@ -83,7 +87,7 @@ class TestStatsFromRegistry:
         samples = parse_prometheus(text)
         assert samples[keys.RETRIES_TOTAL] == 0
         assert samples[keys.QUARANTINED_OPTIONS_TOTAL] == 0
-        assert samples[keys.DEGRADED_TO_SERIAL_TOTAL] == 0
+        assert samples[keys.TIMEOUTS_TOTAL] == 0
         assert samples[keys.GREEKS_OPTIONS_TOTAL] == 0
         assert samples[keys.BUMP_PASSES_TOTAL] == 0
 

@@ -1,7 +1,5 @@
 """Unit tests for the span tracer (repro.obs.trace)."""
 
-import pickle
-
 import pytest
 
 from repro.obs.trace import (
@@ -10,7 +8,6 @@ from repro.obs.trace import (
     NullSpan,
     NullTracer,
     Span,
-    SpanContext,
     Tracer,
     as_tracer,
     max_depth,
@@ -72,14 +69,6 @@ class TestSerialisation:
         restored = Span.from_dict(run.as_dict())
         assert restored.as_dict() == run.as_dict()
 
-    def test_adopt_reattaches_worker_spans(self):
-        parent = Tracer().start_span("attempt", "attempt")
-        worker = Tracer().start_span("worker-record", "worker", pid=123)
-        worker.end()
-        parent.adopt([worker.as_dict()])
-        assert parent.children[0].name == "worker-record"
-        assert parent.children[0].attrs["pid"] == 123
-
     def test_walk_covers_all(self):
         tracer = Tracer()
         run = tracer.start_span("run", "run")
@@ -123,10 +112,5 @@ class TestNullObjects:
 
 
 class TestSpanContext:
-    def test_is_picklable(self):
-        ctx = SpanContext(trace_id="trace-1-1",
-                          path=("engine.run", "group[steps=8]"))
-        assert pickle.loads(pickle.dumps(ctx)) == ctx
-
     def test_tracer_ids_are_unique(self):
         assert Tracer().trace_id != Tracer().trace_id

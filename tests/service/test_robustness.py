@@ -15,6 +15,7 @@ import pytest
 
 import repro.service.service as service_module
 from repro.api import PricingRequest
+from repro.engine import EngineConfig, FaultKind, FaultPlan
 from repro.errors import (
     DeadlineExceededError,
     ServiceError,
@@ -262,6 +263,28 @@ class TestHealthAndSupervision:
         assert report.state is HealthState.UNHEALTHY
         assert stats.engine_restarts == 1
         assert stats.health == "unhealthy"
+
+    def test_engine_timeout_swaps_the_engine(self, batch):
+        # a chunk given up on timeout may still hold one of the engine's
+        # threads: the service replaces that engine instead of pricing
+        # on a short-handed one
+        config = ServiceConfig(
+            max_wait_ms=0.0,
+            faults=FaultPlan.single(0, FaultKind.HANG, hang_s=1.0),
+            engine_config=EngineConfig(workers=2, chunk_options=2,
+                                       chunk_timeout_s=0.2,
+                                       backoff_base_s=0.0),
+            health=HealthPolicy(restart_backoff_s=0.0),
+        )
+        with PricingService(config) as service:
+            result = service.submit(
+                _request(batch[:4], strict=False)).result(timeout=WAIT)
+            stats = service.close()
+        assert result.stats.timeouts == 1
+        assert [f.error for f in result.failures] == ["ChunkTimeoutError"] * 2
+        assert np.isnan(result.prices[:2]).all()
+        assert np.isfinite(result.prices[2:]).all()
+        assert stats.engine_restarts == 1
 
     def test_restart_backoff_is_slept(self, batch, monkeypatch):
         slept = []

@@ -11,7 +11,6 @@ from repro.engine import ALWAYS, EngineConfig, FaultKind, FaultPlan
 from repro.engine.engine import PricingEngine
 from repro.errors import FinanceError, ReproError
 from repro.finance import generate_batch
-from repro.finance.binomial import price_binomial_batch
 from repro.finance import price_binomial
 
 STEPS = 16
@@ -151,17 +150,6 @@ class TestPackageSurface:
 
 
 class TestRemovedWrappers:
-    def test_price_binomial_batch_is_a_raising_stub(self, batch):
-        with pytest.raises(ReproError, match="removed in repro 2.0"):
-            price_binomial_batch(batch, steps=STEPS)
-
-    def test_stub_accepts_any_legacy_signature(self, batch):
-        # every historical calling convention hits the migration
-        # message, never a TypeError about unexpected arguments
-        for kwargs in ({"workers": 2}, {"dtype": np.float32}, {}):
-            with pytest.raises(ReproError, match="repro.price"):
-                price_binomial_batch(batch, steps=STEPS, **kwargs)
-
     def test_facade_covers_legacy_precisions(self, batch):
         double = price(batch, steps=STEPS).prices
         single = price(batch, steps=STEPS, precision="single").prices
