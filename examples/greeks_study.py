@@ -5,8 +5,9 @@ theta, vega and rho for every position.  The classical lattice trick
 (Hull) reads delta/gamma/theta off tree levels 0..2 of the *same*
 backward pass that prices the option; vega and rho come from
 bump-and-reprice central differences.  ``repro.greeks`` batches the
-whole thing through the pricing engine: one level-capturing pass plus
-four bump passes scheduled as sibling chunk groups.
+whole thing through the pricing engine: one fused task per chunk rolls
+the level-captured base contracts and their four bump variants
+together.
 
 This example:
 

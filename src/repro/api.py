@@ -175,10 +175,9 @@ def _array_from_hex(values) -> "np.ndarray | None":
         return None
     return np.array([_unhex(value) for value in values], dtype=np.float64)
 
-#: Tasks a request may carry.  Narrower than the scheduler's
-#: :data:`~repro.engine.scheduler.TASKS`: ``"greeks_fused"`` is an
-#: internal scheduling shape the engine picks from
-#: ``EngineConfig.fused_greeks``, not something callers request.
+#: Tasks a request may carry.  ``"greeks"`` runs
+#: :meth:`~repro.engine.PricingEngine.run_greeks`, which schedules the
+#: scheduler's ``"greeks_fused"`` chunk task.
 _REQUEST_TASKS = ("price", "greeks")
 
 #: Admission bands of the serving layer, lowest first.  Under overload
@@ -585,10 +584,10 @@ class GreeksResult(BatchResult):
     """What :func:`greeks` returns: one array per sensitivity.
 
     ``prices``/``delta``/``gamma``/``theta`` come from the *same*
-    engine pricing pass (tree-level capture); ``vega``/``rho`` from
-    the bump passes scheduled alongside it.  All arrays are in input
-    order; options that failed under ``strict=False`` carry NaN in
-    the affected columns and a :class:`FailureRecord` naming the pass.
+    backward induction (tree-level capture); ``vega``/``rho`` from the
+    bump variants priced in the same fused task.  All arrays are in
+    input order; options that failed under ``strict=False`` carry NaN
+    in every column and a :class:`FailureRecord`.
     """
 
     prices: np.ndarray = None  # type: ignore[assignment]
@@ -898,8 +897,8 @@ def greeks(
     Delta, gamma and theta are read off tree levels 0..2 of the *same*
     engine pricing pass that produces the prices (no re-pricing — the
     Hull lattice trick, batched); vega and rho are central finite
-    differences over four bump-and-reprice passes scheduled as sibling
-    chunk groups of the same run, so the whole workload inherits the
+    differences over four bump variants rolled in the same fused task
+    as the base contracts, so the whole workload inherits the
     engine's chunking, worker fan-out, retry/quarantine and
     span/metrics instrumentation.  The scalar counterpart (and test
     oracle) is :func:`repro.finance.greeks.lattice_greeks`.

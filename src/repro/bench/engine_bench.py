@@ -1,17 +1,14 @@
 """Throughput benchmark harness for the batched pricing engine.
 
-Measures the engine against a frozen copy of the *pre-engine* fast
-path — the single-threaded simulator exactly as it existed before the
-engine work (Python-loop parameter building, list-comprehension leaf
-exponents, allocating backward loop) — and writes the result to
-``BENCH_engine.json`` so future changes have a perf trajectory to
+Measures the engine against its own arithmetic run bare: one
+single-threaded call of the NumPy-path kernel simulator
+(``simulate_kernel_{a,b}_batch``) over the whole batch, with no
+chunking, threads, retries or instrumentation.  The result is written
+to ``BENCH_engine.json`` so future changes have a perf trajectory to
 regress against.
 
-The harness also cross-checks correctness on every run: engine prices
-must be bit-identical to the current simulator, and must agree with
-the frozen baseline to double-precision noise (the baseline builds
-lattice constants with scalar ``math`` calls, the vectorised builders
-with numpy ufuncs — same math, last-ulp differences).
+The same timed call is the correctness reference: engine prices must
+be bit-identical to it on every run, whatever the backend.
 
 ``check_throughput_regression`` implements the CI gate: it compares a
 fresh run against a stored baseline file and reports every
@@ -27,20 +24,16 @@ import numpy as np
 
 from ..core.batch_sim import simulate_kernel_a_batch, simulate_kernel_b_batch
 from ..core.faithful_math import EXACT_DOUBLE, MathProfile
-from ..core.kernel_a import build_leaves_a
 from ..core.metrics import nodes_per_option
 from ..engine import EngineConfig, PricingEngine
 from ..errors import ReproError
-from ..finance.lattice import LatticeFamily, build_lattice_params
+from ..finance.lattice import LatticeFamily
 from ..finance.market import generate_batch
-from ..finance.options import Option
 from ..obs import keys as obs_keys
 from .gate import check_throughput_regression, make_envelope, write_benchmark
 
 __all__ = [
     "BENCH_SCHEMA",
-    "baseline_simulate_kernel_a",
-    "baseline_simulate_kernel_b",
     "run_benchmark",
     "write_benchmark",
     "check_throughput_regression",
@@ -50,137 +43,6 @@ __all__ = [
 BENCH_SCHEMA = "repro-engine-bench/v1"
 
 
-# --------------------------------------------------------------------------
-# Frozen pre-engine fast path (the benchmark's baseline)
-# --------------------------------------------------------------------------
-
-
-def _baseline_params_b(options: Sequence[Option], steps: int,
-                       family: LatticeFamily) -> np.ndarray:
-    """`build_params_b` as it was before vectorisation: a Python loop."""
-    rows = np.empty((len(options), 7), dtype=np.float64)
-    for i, option in enumerate(options):
-        lattice = build_lattice_params(option, steps, family)
-        rows[i] = (
-            option.spot,
-            lattice.up,
-            lattice.down,
-            lattice.discounted_p_up,
-            lattice.discounted_p_down,
-            option.strike,
-            option.option_type.sign,
-        )
-    return rows
-
-
-def _baseline_params_a(options: Sequence[Option], steps: int,
-                       family: LatticeFamily) -> np.ndarray:
-    """`build_params_a` as it was before vectorisation: a Python loop."""
-    rows = np.empty((len(options), 5), dtype=np.float64)
-    for i, option in enumerate(options):
-        lattice = build_lattice_params(option, steps, family)
-        rows[i] = (
-            lattice.discounted_p_up,
-            lattice.discounted_p_down,
-            lattice.down,
-            option.strike,
-            option.option_type.sign,
-        )
-    return rows
-
-
-def baseline_simulate_kernel_b(
-    options: Sequence[Option],
-    steps: int,
-    profile: MathProfile = EXACT_DOUBLE,
-    family: LatticeFamily = LatticeFamily.CRR,
-) -> np.ndarray:
-    """The pre-engine ``simulate_kernel_b_batch``, frozen verbatim.
-
-    Python-loop parameter building, list-comprehension exponents, and
-    a backward loop that allocates fresh temporaries every iteration —
-    the path the engine's speedup is measured against.
-    """
-    if steps < 2:
-        raise ReproError("kernel IV.B needs at least 2 steps")
-    if not options:
-        raise ReproError("empty option batch")
-    params = _baseline_params_b(options, steps, family)
-    cast = profile.cast
-
-    s0 = cast(params[:, 0:1])
-    up = params[:, 1:2]
-    down = cast(params[:, 2:3])
-    rp = cast(params[:, 3:4])
-    rq = cast(params[:, 4:5])
-    strike = cast(params[:, 5:6])
-    sign = cast(params[:, 6:7])
-
-    exponents = np.array([float(steps - 2 * k) for k in range(steps)]
-                         + [float(-steps)])
-    s = cast(s0 * profile.pow_(up, exponents[None, :]))
-    payoff = cast(sign * (s - strike))
-    v = np.where(payoff > 0.0, payoff, cast(0.0)).astype(profile.dtype)
-    s = s[:, :steps]
-
-    for t in range(steps - 1, -1, -1):
-        active = t + 1
-        s_active = cast(down * s[:, :active])
-        continuation = cast(
-            cast(rp * v[:, :active]) + cast(rq * v[:, 1:active + 1])
-        )
-        intrinsic = cast(sign * (s_active - strike))
-        v[:, :active] = np.where(
-            continuation > intrinsic, continuation, intrinsic
-        )
-        s[:, :active] = s_active
-
-    return v[:, 0].astype(np.float64)
-
-
-def baseline_simulate_kernel_a(
-    options: Sequence[Option],
-    steps: int,
-    profile: MathProfile = EXACT_DOUBLE,
-    family: LatticeFamily = LatticeFamily.CRR,
-) -> np.ndarray:
-    """The pre-engine ``simulate_kernel_a_batch``, frozen verbatim."""
-    if steps < 2:
-        raise ReproError("kernel IV.A needs at least 2 steps")
-    if not options:
-        raise ReproError("empty option batch")
-    params = _baseline_params_a(options, steps, family)
-    cast = profile.cast
-
-    rp = cast(params[:, 0:1])
-    rq = cast(params[:, 1:2])
-    down = cast(params[:, 2:3])
-    strike = cast(params[:, 3:4])
-    sign = cast(params[:, 4:5])
-
-    leaf_pairs = [build_leaves_a(o, steps, family) for o in options]
-    s = cast(np.stack([pair[0] for pair in leaf_pairs]))
-    v = cast(np.stack([pair[1] for pair in leaf_pairs])).astype(profile.dtype)
-
-    for t in range(steps - 1, -1, -1):
-        active = t + 1
-        s_active = cast(down * s[:, :active])
-        continuation = cast(
-            cast(rp * v[:, :active]) + cast(rq * v[:, 1:active + 1])
-        )
-        intrinsic = cast(sign * (s_active - strike))
-        v = np.where(continuation > intrinsic, continuation, intrinsic).astype(
-            profile.dtype
-        )
-        s = s_active
-
-    return v[:, 0].astype(np.float64)
-
-
-_BASELINES = {
-    "iv_a": baseline_simulate_kernel_a,
-    "iv_b": baseline_simulate_kernel_b,
-}
 _SIMULATORS = {
     "iv_a": simulate_kernel_a_batch,
     "iv_b": simulate_kernel_b_batch,
@@ -203,11 +65,12 @@ def run_benchmark(
     backend: str = "numpy",
     tracer=None,
 ) -> dict:
-    """Measure engine throughput against the frozen pre-engine path.
+    """Measure engine throughput against the bare simulator call.
 
-    For each batch size: time the baseline once, then one engine run
-    per ``workers`` setting, asserting bit-identity with the current
-    simulator and double-precision agreement with the baseline.
+    For each batch size: time one single-threaded NumPy-path simulator
+    call over the batch (the baseline), then one engine run per
+    ``workers`` setting, asserting bit-identity with the baseline's
+    prices.
     Returns the JSON-ready result document (see ``BENCH_SCHEMA``); the
     per-run stats use exactly the :data:`repro.obs.keys.STATS_KEYS`
     schema, declared in the document's ``stats_schema`` field.
@@ -220,28 +83,19 @@ def run_benchmark(
 
     Pass a :class:`repro.obs.trace.Tracer` to record every engine run
     as its own root span tree (one root per measured configuration;
-    the baseline timing is never traced — it predates the engine).
+    the baseline call is not an engine run and is never traced).
     """
-    if kernel not in _BASELINES:
+    if kernel not in _SIMULATORS:
         raise ReproError(f"benchmark supports kernels "
-                         f"{tuple(_BASELINES)}, got {kernel!r}")
+                         f"{tuple(_SIMULATORS)}, got {kernel!r}")
     results = []
     for n_options in options_counts:
         batch = list(generate_batch(n_options=n_options, seed=seed).options)
 
         start = time.perf_counter()
-        baseline_prices = _BASELINES[kernel](batch, steps, profile, family)
+        simulator_prices = _SIMULATORS[kernel](batch, steps, profile, family)
         baseline_wall = time.perf_counter() - start
         tree_nodes = n_options * (nodes_per_option(steps) + steps + 1)
-
-        simulator_prices = _SIMULATORS[kernel](batch, steps, profile, family)
-        max_diff = float(np.max(np.abs(simulator_prices - baseline_prices)))
-        if not np.allclose(simulator_prices, baseline_prices,
-                           rtol=1e-9, atol=1e-9):
-            raise ReproError(
-                f"engine fast path disagrees with the frozen baseline "
-                f"beyond double-precision noise (max abs diff {max_diff:.3e})"
-            )
 
         runs = []
         for workers in workers_settings:
@@ -265,15 +119,12 @@ def run_benchmark(
         results.append({
             "options": n_options,
             "baseline": {
-                "label": "pre-engine single-threaded simulator",
+                "label": "single-threaded numpy simulator call",
                 "wall_time_s": baseline_wall,
                 "options_per_second": n_options / baseline_wall,
                 "tree_nodes_per_second": tree_nodes / baseline_wall,
             },
-            "parity": {
-                "bit_identical_to_simulator": True,
-                "max_abs_diff_vs_baseline": max_diff,
-            },
+            "parity": {"bit_identical_to_simulator": True},
             "runs": runs,
         })
 

@@ -17,8 +17,10 @@ module owns all of it once:
   on one field instead of sniffing keys.
 * :func:`check_throughput_regression` is the CI gate shared by every
   ``--check-against`` code path: configurations matched on
-  ``(options, workers, fused_greeks)``, equal ``config`` required,
-  >30% throughput regression fails.
+  ``(options, workers)``, equal ``config`` required, >30% throughput
+  regression fails.
+* :func:`latency_summary` is the one per-request latency block the
+  service, serve and stream harnesses report.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "check_throughput_regression",
     "git_revision",
     "host_info",
+    "latency_summary",
     "load_benchmark",
     "make_envelope",
     "write_benchmark",
@@ -136,10 +139,8 @@ def check_throughput_regression(
 ) -> "list[str]":
     """CI regression gate: compare two benchmark documents.
 
-    Configurations are matched on ``(options, workers, fused_greeks)``
-    — the fused flag defaults to ``0`` so pre-v4 documents and the
-    service benchmark (whose rows carry neither) keep matching — and
-    the global kernel/steps/backend config must agree; a configuration
+    Configurations are matched on ``(options, workers)`` and the
+    global kernel/steps/backend config must agree; a configuration
     fails when its options/s fell more than ``max_regression`` below
     the stored baseline.  Returns the list of failure messages (empty
     = pass).
@@ -151,24 +152,41 @@ def check_throughput_regression(
             f"baseline {baseline['config']}); not comparable"
         ]
     baseline_rates = {
-        (entry["options"], run["workers"], run.get("fused_greeks", 0)):
-            run["options_per_second"]
+        (entry["options"], run["workers"]): run["options_per_second"]
         for entry in baseline["results"]
         for run in entry["runs"]
     }
     for entry in current["results"]:
         for run in entry["runs"]:
-            key = (entry["options"], run["workers"],
-                   run.get("fused_greeks", 0))
+            key = (entry["options"], run["workers"])
             if key not in baseline_rates:
                 continue
             floor = baseline_rates[key] * (1.0 - max_regression)
             if run["options_per_second"] < floor:
                 failures.append(
-                    f"options={key[0]} workers={key[1]} "
-                    f"fused={key[2]}: "
+                    f"options={key[0]} workers={key[1]}: "
                     f"{run['options_per_second']:.1f} options/s is below "
                     f"{floor:.1f} ({1 - max_regression:.0%} of stored "
                     f"baseline {baseline_rates[key]:.1f})"
                 )
     return failures
+
+
+def latency_summary(latencies) -> dict:
+    """Count, p50/p99/p99.9, mean and max of per-request latency.
+
+    ``latencies`` are seconds (any sequence or array); the summary is
+    in milliseconds, and an empty input gives zeros throughout.
+    """
+    array = np.asarray(latencies, dtype=np.float64)
+    if not array.size:
+        return {"count": 0, "p50_ms": 0.0, "p99_ms": 0.0, "p999_ms": 0.0,
+                "mean_ms": 0.0, "max_ms": 0.0}
+    return {
+        "count": int(array.size),
+        "p50_ms": float(np.percentile(array, 50) * 1e3),
+        "p99_ms": float(np.percentile(array, 99) * 1e3),
+        "p999_ms": float(np.percentile(array, 99.9) * 1e3),
+        "mean_ms": float(array.mean() * 1e3),
+        "max_ms": float(array.max() * 1e3),
+    }

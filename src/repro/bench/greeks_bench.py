@@ -1,20 +1,20 @@
 """Throughput benchmark harness for the batched greeks workload.
 
-Measures :meth:`repro.engine.PricingEngine.run_greeks` — five engine
-pricing passes per option (level-captured base pass plus four
-bump-and-reprice passes) — against the scalar baseline it supersedes:
+Measures :meth:`repro.engine.PricingEngine.run_greeks` — five tree
+pricings per option (the level-captured base contract plus four bump
+variants, rolled together in one fused task per chunk) — against the
+scalar baseline it supersedes:
 a Python loop calling :func:`repro.finance.greeks.lattice_greeks` once
 per option.  The scalar oracle re-prices five trees per option too, so
 the speedup isolates what the engine adds (vectorised batch kernels,
 chunking, worker fan-out) rather than comparing different amounts of
 work.
 
-Every run cross-checks correctness: engine delta/gamma/theta must come
-from the same pass as the prices (the harness asserts agreement with
-the scalar oracle to ``PARITY_TOL``), and the document records the
+Every run cross-checks correctness: every engine greek must agree with
+the scalar oracle to ``PARITY_TOL``, and the document records the
 worst per-greek deviation.  ``check_throughput_regression`` from
-:mod:`~repro.bench.engine_bench` implements the CI gate for the
-resulting document — both benchmarks share the document shape.
+:mod:`~repro.bench.gate` implements the CI gate for the resulting
+document — both benchmarks share the document shape.
 """
 
 from __future__ import annotations
@@ -84,21 +84,15 @@ def run_greeks_benchmark(
 ) -> dict:
     """Measure batched-greeks throughput against the scalar oracle.
 
-    For each batch size and ``workers`` setting the harness times both
-    greeks schedules — the five-pass one (base pass plus four bump
-    passes, five engine runs' worth of scheduling) and the fused one
-    (every variant in a single run) — asserting per-greek agreement
-    with the oracle to :data:`PARITY_TOL` and *bitwise* agreement
-    between the two schedules.  The fused row carries
-    ``fused_speedup_vs_five_pass``, the headline the fusion work is
-    gated on; rows are distinguished by their ``fused_greeks`` stats
-    flag, which the regression gate folds into its matching key.
-    Returns a JSON-ready document with the same shape as
-    :func:`~repro.bench.engine_bench.run_benchmark` (``config`` /
-    ``results[*].runs`` with :data:`repro.obs.keys.STATS_KEYS` rows
-    plus ``speedup_vs_baseline``), so
-    :func:`~repro.bench.engine_bench.check_throughput_regression`
-    gates both benchmarks.
+    For each batch size and ``workers`` setting the harness times one
+    engine greeks run, asserting per-greek agreement with the oracle
+    to :data:`PARITY_TOL`.  Returns a JSON-ready document with the
+    same shape as :func:`~repro.bench.engine_bench.run_benchmark`
+    (``config`` / ``results[*].runs`` with
+    :data:`repro.obs.keys.STATS_KEYS` rows plus
+    ``speedup_vs_baseline``), so
+    :func:`~repro.bench.gate.check_throughput_regression` gates both
+    benchmarks.
     """
     if kernel not in ("iv_a", "iv_b", "reference"):
         raise ReproError(f"unknown kernel {kernel!r}")
@@ -111,59 +105,39 @@ def run_greeks_benchmark(
                                         bump_vol=bump_vol,
                                         bump_rate=bump_rate)
         baseline_wall = time.perf_counter() - start
-        # five pricing passes per option, leaves included
+        # five tree pricings per option, leaves included
         tree_nodes = 5 * n_options * (nodes_per_option(steps) + steps + 1)
 
         runs = []
         parity: "dict[str, float]" = {}
         for workers in workers_settings:
-            by_schedule = {}
-            for fused in (False, True):
-                config = EngineConfig(workers=workers, backend=backend,
-                                      fused_greeks=fused)
-                with PricingEngine(kernel=kernel, profile=profile,
-                                   family=family, config=config,
-                                   tracer=tracer) as engine:
-                    result = engine.run_greeks(batch, steps,
-                                               bump_vol=bump_vol,
-                                               bump_rate=bump_rate)
-                engine_fields = {
-                    "price": result.prices, "delta": result.delta,
-                    "gamma": result.gamma, "theta": result.theta,
-                    "vega": result.vega, "rho": result.rho,
-                }
-                for field in _GREEK_FIELDS:
-                    diff = float(np.max(np.abs(engine_fields[field]
-                                               - oracle[field])))
-                    parity[field] = max(parity.get(field, 0.0), diff)
-                    if diff > PARITY_TOL:
-                        raise ReproError(
-                            f"engine greeks (workers={workers}, "
-                            f"fused={fused}) disagree with the scalar "
-                            f"lattice_greeks oracle on {field}: "
-                            f"max abs diff {diff:.3e} > {PARITY_TOL:g}")
-                by_schedule[fused] = (result, engine_fields)
-
-            five_fields = by_schedule[False][1]
+            config = EngineConfig(workers=workers, backend=backend)
+            with PricingEngine(kernel=kernel, profile=profile,
+                               family=family, config=config,
+                               tracer=tracer) as engine:
+                result = engine.run_greeks(batch, steps,
+                                           bump_vol=bump_vol,
+                                           bump_rate=bump_rate)
+            engine_fields = {
+                "price": result.prices, "delta": result.delta,
+                "gamma": result.gamma, "theta": result.theta,
+                "vega": result.vega, "rho": result.rho,
+            }
             for field in _GREEK_FIELDS:
-                if not np.array_equal(by_schedule[True][1][field],
-                                      five_fields[field]):
+                diff = float(np.max(np.abs(engine_fields[field]
+                                           - oracle[field])))
+                parity[field] = max(parity.get(field, 0.0), diff)
+                if diff > PARITY_TOL:
                     raise ReproError(
-                        f"fused greeks (workers={workers}) are not "
-                        f"bit-identical to the five-pass schedule on "
-                        f"{field}")
-
-            five_wall = by_schedule[False][0].stats.wall_time_s
-            for fused in (False, True):
-                stats = by_schedule[fused][0].stats.as_dict()
-                stats["speedup_vs_baseline"] = (
-                    baseline_wall / stats["wall_time_s"]
-                )
-                if fused:
-                    stats["fused_speedup_vs_five_pass"] = (
-                        five_wall / stats["wall_time_s"]
-                    )
-                runs.append(stats)
+                        f"engine greeks (workers={workers}) disagree "
+                        f"with the scalar lattice_greeks oracle on "
+                        f"{field}: max abs diff {diff:.3e} > "
+                        f"{PARITY_TOL:g}")
+            stats = result.stats.as_dict()
+            stats["speedup_vs_baseline"] = (
+                baseline_wall / stats["wall_time_s"]
+            )
+            runs.append(stats)
 
         results.append({
             "options": n_options,

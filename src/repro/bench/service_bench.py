@@ -49,6 +49,7 @@ from ..finance.lattice import LatticeFamily
 from ..finance.market import generate_batch
 from ..obs import keys as obs_keys
 from ..service import PricingService, ServiceConfig
+from .gate import latency_summary
 from .gate import make_envelope, write_benchmark  # noqa: F401  (re-export)
 
 __all__ = [
@@ -108,17 +109,6 @@ def _closed_loop(service: PricingService, options, steps: int, kernel: str,
     if errors:
         raise errors[0]
     return prices, wall, latencies
-
-
-def _latency_summary(latencies: np.ndarray) -> dict:
-    """p50/p99/mean of per-request latency, in milliseconds."""
-    return {
-        "count": int(latencies.size),
-        "p50_ms": float(np.percentile(latencies, 50) * 1e3),
-        "p99_ms": float(np.percentile(latencies, 99) * 1e3),
-        "mean_ms": float(latencies.mean() * 1e3),
-        "max_ms": float(latencies.max() * 1e3),
-    }
 
 
 def _overload_probe(options, steps: int, kernel: str, backend: str,
@@ -298,7 +288,7 @@ def run_service_benchmark(
                 "cache_hit_s": cache_hit_s,
                 "cache_speedup": (cache_cold_s / cache_hit_s
                                   if cache_hit_s > 0 else float("inf")),
-                "latency": _latency_summary(latencies),
+                "latency": latency_summary(latencies),
                 "service": stats.as_dict(),
             }],
             "overload": overload,
@@ -485,8 +475,7 @@ def _serve_saturation(host: str, port: int, options_per_request: int,
             "loss_rate": loss_rate,
         }
         if latencies:
-            entry["latency"] = _latency_summary(
-                np.asarray(latencies, dtype=np.float64))
+            entry["latency"] = latency_summary(latencies)
         levels_out.append(entry)
         if loss_rate >= SATURATION_LOSS_RATE and saturation is None:
             saturation = offered_rate
@@ -603,7 +592,7 @@ def run_serve_benchmark(
             "wall_time_s": wall,
             "requests_per_second": requests_total / wall,
             "options_per_second": rate,
-            "latency": _latency_summary(latencies),
+            "latency": latency_summary(latencies),
             "serve": stats.as_dict(),
         })
 

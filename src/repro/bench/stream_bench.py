@@ -49,6 +49,7 @@ from ..stream import (
     Tolerance,
     full_repricing_oracle,
 )
+from .gate import latency_summary
 from .gate import make_envelope, write_benchmark  # noqa: F401  (re-export)
 
 __all__ = [
@@ -89,20 +90,6 @@ def _tick_source(book: PositionBook, n_steps: int, seed: int,
         for position in book.positions()
     }
     return SyntheticTickSource(initial, seed=seed + 2, n_steps=n_steps)
-
-
-def _latency_summary(latencies: "list[float]") -> dict:
-    if not latencies:
-        return {"count": 0, "p50_ms": 0.0, "p99_ms": 0.0,
-                "p999_ms": 0.0, "mean_ms": 0.0}
-    array = np.asarray(latencies, dtype=np.float64)
-    return {
-        "count": int(array.size),
-        "p50_ms": float(np.percentile(array, 50) * 1e3),
-        "p99_ms": float(np.percentile(array, 99) * 1e3),
-        "p999_ms": float(np.percentile(array, 99.9) * 1e3),
-        "mean_ms": float(array.mean() * 1e3),
-    }
 
 
 def _update_fingerprint(update) -> tuple:
@@ -262,7 +249,7 @@ def run_stream_benchmark(
                 "wall_time_s": wall,
                 "options_per_second": reval_rate,
                 "ticks_per_second": stats.ticks / wall,
-                "latency": _latency_summary(runner.latencies),
+                "latency": latency_summary(runner.latencies),
                 "stream": stats.as_dict(),
             }],
             "tolerance": {

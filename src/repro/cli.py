@@ -592,15 +592,11 @@ def _run_bench_greeks(args) -> int:
              f"{base['options_per_second']:,.1f} options/s "
              f"(worst greek diff {worst:.2e})")
         for run in entry["runs"]:
-            schedule = "fused" if run.get("fused_greeks") else "five-pass"
-            fused_note = (
-                f", {run['fused_speedup_vs_five_pass']:.2f}x vs five-pass"
-                if "fused_speedup_vs_five_pass" in run else "")
-            echo(f"    workers={run['workers']} {schedule}: "
+            echo(f"    workers={run['workers']}: "
                  f"{run['options_per_second'] / 5:,.1f} options/s "
                  f"({run['speedup_vs_baseline']:.2f}x scalar, "
                  f"{run['bump_passes']} bump passes, "
-                 f"{run['chunks']} chunks{fused_note})")
+                 f"{run['chunks']} chunks)")
 
     if args.check_against:
         stored = load_benchmark(args.check_against)

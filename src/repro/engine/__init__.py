@@ -41,7 +41,6 @@ from .scheduler import (
     KERNELS,
     TASKS,
     Chunk,
-    greeks_chunk,
     group_stream,
     plan_chunks,
     price_chunk,
@@ -61,7 +60,6 @@ __all__ = [
     "Chunk",
     "KERNELS",
     "TASKS",
-    "greeks_chunk",
     "group_stream",
     "plan_chunks",
     "price_chunk",

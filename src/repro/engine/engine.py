@@ -130,12 +130,6 @@ class EngineConfig:
         ``"cnative"``.  All backends are bit-identical;
         the ``REPRO_BACKEND`` environment variable overrides this at
         resolution time.
-    :param fused_greeks: schedule :meth:`PricingEngine.run_greeks` as
-        one fused task per chunk (lattice params and leaves built
-        once, base + four bump variants sharing a 5x-wide tile)
-        instead of five sibling chunk-group passes.  Same numbers
-        either way; the five-pass path remains for per-pass failure
-        isolation and as the bench baseline.
     """
 
     workers: int = 1
@@ -146,7 +140,6 @@ class EngineConfig:
     chunk_timeout_s: "float | None" = None
     backoff_base_s: float = 0.05
     backend: str = "auto"
-    fused_greeks: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -189,12 +182,12 @@ class GreeksEngineResult:
     """Batch sensitivities (input order), failures, and run statistics.
 
     ``prices``/``delta``/``gamma``/``theta`` come out of the *same*
-    engine pricing pass (tree-level capture, no re-pricing);
-    ``vega``/``rho`` are central differences over the four bump passes
-    scheduled as sibling chunk groups of the same run.  An option that
-    failed in any pass carries NaN in the affected columns and a
-    :class:`~repro.engine.reliability.FailureRecord` whose message
-    names the pass; every other entry matches the fault-free run.
+    backward induction (tree-level capture, no re-pricing);
+    ``vega``/``rho`` are central differences over the four bump
+    variants priced in the same fused task.  An option whose task
+    failed carries NaN in every column and a
+    :class:`~repro.engine.reliability.FailureRecord` prefixed
+    ``[fused greeks]``; every other entry matches the fault-free run.
     """
 
     prices: np.ndarray
@@ -222,12 +215,6 @@ class _ChunkOutcome:
     retries: int = 0
     latencies: "list[float]" = field(default_factory=list)
     timed_out: bool = False
-
-
-#: Scheduling order of a greeks run's passes: the base pass computes
-#: [price, delta, gamma, theta] rows by level capture; the four bump
-#: passes re-price bumped contracts for the vega/rho differences.
-_GREEKS_PASSES = ("base", "vega+", "vega-", "rho+", "rho-")
 
 
 class PricingEngine:
@@ -392,11 +379,7 @@ class PricingEngine:
         Threaded runs only — an inline run cannot preempt itself,
         exactly like ``chunk_timeout_s``.
         """
-        self._check_usable()
-        self._active_policy = self._policy.clamp_timeout(deadline_s)
-        wall_start = time.perf_counter()
-        cpu_start = time.process_time()
-
+        started = self._start(deadline_s)
         options = list(options)
         groups = group_stream(options, steps)
         min_steps = 2 if self.kernel in ("iv_a", "iv_b") else 1
@@ -408,115 +391,46 @@ class PricingEngine:
                     if min_steps == 2 else
                     f"steps must be >= 1, got {group_steps}"
                 )
-
-        chunks: list[Chunk] = []
-        for group_steps, (indices, members) in sorted(groups.items()):
-            chunks.extend(plan_chunks(
-                indices, members, group_steps, self.profile.dtype,
-                self.config.chunk_options, self.config.tile_budget_bytes,
-                self.config.min_chunk_options, self.config.workers,
-            ))
-
-        tree_nodes = sum(
-            len(indices) * (nodes_per_option(s) + s + 1)
-            for s, (indices, _) in groups.items()
-        )
-
-        metrics = RunMetrics()
-        metrics.options.inc(len(options))
-        metrics.tree_nodes.inc(tree_nodes)
-        metrics.groups.inc(len(groups))
-        metrics.chunks.inc(len(chunks))
-
-        run_span = self.tracer.start_span(
-            "engine.run", "run",
-            kernel=self.kernel, profile=self.profile.name,
-            family=self.family.value, workers=self.config.workers,
-            backend=self._backend.name,
-            options=len(options), chunks=len(chunks), groups=len(groups),
-        )
-        group_spans: "dict[tuple[str, int], object]" = {}
-        if self.tracer.enabled:
-            for group_steps, (indices, _) in sorted(groups.items()):
-                group_spans[("", group_steps)] = run_span.child(
-                    f"group[steps={group_steps}]", "group",
-                    steps=group_steps, options=len(indices),
-                )
-
         prices = np.empty(len(options), dtype=np.float64)
-        failures: "list[FailureRecord]" = []
-        peak_tile_bytes = self._dispatch(chunks, prices, metrics, failures,
-                                         run_span, group_spans)
-
-        wall_time_s = time.perf_counter() - wall_start
-        stats = EngineStats.from_run(
-            metrics,
-            workers=self.config.workers,
-            wall_time_s=wall_time_s,
-            cpu_time_s=time.process_time() - cpu_start,
-            peak_tile_bytes=peak_tile_bytes,
-            backend=self._backend.name,
-            backend_compile_seconds=self._backend.compile_seconds,
-        )
-        metrics.finalise(wall_time_s, stats.options_per_second,
-                         stats.tree_nodes_per_second, peak_tile_bytes)
-        metrics.publish()
-        run_span.set(
-            wall_time_s=wall_time_s,
-            options_per_second=round(stats.options_per_second, 3),
-            quarantined_options=stats.quarantined_options,
-        )
-        return EngineResult(
-            prices=prices,
-            stats=stats,
-            failures=tuple(sorted(failures, key=lambda f: f.index)),
-        )
+        stats, failures = self._execute("engine.run", groups, prices,
+                                        started)
+        return EngineResult(prices=prices, stats=stats, failures=failures)
 
     def run_greeks(self, options: Sequence[Option],
                    steps: "int | Sequence[int]" = 512,
                    bump_vol: float = 1e-3,
                    bump_rate: float = 1e-4, *,
                    deadline_s: "float | None" = None) -> GreeksEngineResult:
-        """Price a stream and its full greeks set through one schedule.
+        """Price a stream and its full greeks set in one fused schedule.
 
-        The *base pass* prices every option with tree-level capture, so
-        delta/gamma/theta come out of the same backward induction as
-        the price (see
-        :func:`repro.engine.scheduler.greeks_chunk` — no re-pricing).
-        Four *bump passes* (volatility ±``bump_vol``, rate
-        ±``bump_rate``) are scheduled as sibling chunk groups of the
-        same run, so they inherit chunking, thread fan-out,
-        retry/quarantine and span/metrics instrumentation unchanged;
-        vega and rho are the central differences of their prices.
+        Every chunk is one ``greeks_fused`` task (see
+        :func:`repro.engine.scheduler.greeks_fused_chunk`): lattice
+        parameters and leaves are built once per option, and the base
+        contracts plus the four bump variants (volatility
+        ±``bump_vol``, rate ±``bump_rate``) roll through a single
+        simulate sharing one 5x-wide tile.  delta/gamma/theta come out
+        of the same backward induction as the price (level capture, no
+        re-pricing); vega and rho are the central differences of the
+        bump variants.  Chunking, thread fan-out, retry/quarantine and
+        span/metrics instrumentation are the ones :meth:`run` uses.
 
         ``steps`` may be a single depth or one per option, exactly as
         in :meth:`run`, but must be >= 3 everywhere (levels 0..2 have
-        to sit below the leaves).  Failures never raise: the affected
-        columns carry NaN and
-        :attr:`GreeksEngineResult.failures` names the pass.
-
-        With ``EngineConfig.fused_greeks`` (the default) the five
-        passes collapse into one fused task per chunk — lattice
-        parameters and leaves are built once per option and the bump
-        variants share the blocked workspace (see
-        :func:`repro.engine.scheduler.greeks_fused_chunk`).  The
-        numbers are identical either way; ``fused_greeks=False``
-        restores the five-pass schedule with its per-pass failure
-        attribution.
+        to sit below the leaves).  Failures never raise: a failure
+        that survives retries quarantines the option — its whole
+        greeks row goes NaN and its
+        :attr:`GreeksEngineResult.failures` record is prefixed
+        ``[fused greeks]``.  The stats count every variant pricing
+        (``options`` is 5n, ``bump_passes`` is 4).
 
         ``deadline_s`` bounds the per-chunk timeout as in :meth:`run`.
         """
-        self._check_usable()
-        self._active_policy = self._policy.clamp_timeout(deadline_s)
+        started = self._start(deadline_s)
         if bump_vol <= 0.0:
             raise EngineError(f"bump_vol must be > 0, got {bump_vol}")
         if bump_rate <= 0.0:
             raise EngineError(f"bump_rate must be > 0, got {bump_rate}")
-        wall_start = time.perf_counter()
-        cpu_start = time.process_time()
-
         options = list(options)
-        n = len(options)
         groups = group_stream(options, steps)
         for group_steps in groups:
             if group_steps < 3:
@@ -524,198 +438,87 @@ class PricingEngine:
                     "greeks need at least 3 steps (tree levels 0..2 must "
                     f"sit below the leaves), got {group_steps}"
                 )
-        if self.config.fused_greeks:
-            return self._run_greeks_fused(options, n, groups, bump_vol,
-                                          bump_rate, wall_start, cpu_start)
-        return self._run_greeks_passes(options, n, groups, bump_vol,
-                                       bump_rate, wall_start, cpu_start)
-
-    def _run_greeks_passes(self, options: "list[Option]", n: int,
-                           groups: dict, bump_vol: float, bump_rate: float,
-                           wall_start: float, cpu_start: float,
-                           ) -> GreeksEngineResult:
-        """The five-pass greeks schedule (base + four bump groups)."""
-        # Pass p's virtual indices are p*n + i, so one flat (5n, 4)
-        # output array and the unchanged scatter/quarantine machinery
-        # serve all five passes; pass 0 rows are [price, delta, gamma,
-        # theta].  Bump passes run the same greeks task — their price
-        # column then comes from the identical capture path the scalar
-        # oracle (lattice_greeks) re-prices with, so the vega/rho
-        # differences never mix parameter-builder ulps (which the
-        # 1/(2*bump) amplification would magnify).
-        floor = 1e-8  # keep the down-bumped volatility positive
-        pass_options: "tuple[tuple[str, list[Option]], ...]" = (
-            ("base", options),
-            ("vega+",
-             [o.with_volatility(o.volatility + bump_vol) for o in options]),
-            ("vega-",
-             [o.with_volatility(max(o.volatility - bump_vol, floor))
-              for o in options]),
-            ("rho+",
-             [replace(o, rate=o.rate + bump_rate) for o in options]),
-            ("rho-",
-             [replace(o, rate=o.rate - bump_rate) for o in options]),
-        )
-
-        chunks: list[Chunk] = []
-        for pass_id, (label, members) in enumerate(pass_options):
-            for group_steps, (indices, _) in sorted(groups.items()):
-                chunks.extend(plan_chunks(
-                    [pass_id * n + i for i in indices],
-                    [members[i] for i in indices],
-                    group_steps, self.profile.dtype,
-                    self.config.chunk_options, self.config.tile_budget_bytes,
-                    self.config.min_chunk_options, self.config.workers,
-                    task="greeks", group=label,
-                ))
-
-        tree_nodes = len(pass_options) * sum(
-            len(indices) * (nodes_per_option(s) + s + 1)
-            for s, (indices, _) in groups.items()
-        )
-
-        metrics = RunMetrics()
-        metrics.options.inc(len(pass_options) * n)
-        metrics.greeks_options.inc(n)
-        metrics.bump_passes.inc(len(pass_options) - 1)
-        metrics.tree_nodes.inc(tree_nodes)
-        metrics.groups.inc(len(pass_options) * len(groups))
-        metrics.chunks.inc(len(chunks))
-
-        run_span = self.tracer.start_span(
-            "engine.greeks", "run",
-            kernel=self.kernel, profile=self.profile.name,
-            family=self.family.value, workers=self.config.workers,
-            backend=self._backend.name, fused=False,
-            options=n, chunks=len(chunks),
-            bump_vol=bump_vol, bump_rate=bump_rate,
-        )
-        group_spans: "dict[tuple[str, int], object]" = {}
-        if self.tracer.enabled:
-            for label, _members in pass_options:
-                for group_steps, (indices, _) in sorted(groups.items()):
-                    group_spans[(label, group_steps)] = run_span.child(
-                        f"group[{label}:steps={group_steps}]", "group",
-                        steps=group_steps, options=len(indices),
-                        task="greeks",
-                    )
-
-        out = np.empty((len(pass_options) * n, 4), dtype=np.float64)
-        failures: "list[FailureRecord]" = []
-        peak_tile_bytes = self._dispatch(chunks, out, metrics, failures,
-                                         run_span, group_spans)
-
-        base = out[:n]
-        vega = (out[n:2 * n, 0] - out[2 * n:3 * n, 0]) / (2.0 * bump_vol)
-        rho = (out[3 * n:4 * n, 0] - out[4 * n:5 * n, 0]) / (2.0 * bump_rate)
-
-        remapped = [
-            replace(record, index=record.index % n,
-                    message=(f"[{_GREEKS_PASSES[record.index // n]} pass] "
-                             f"{record.message}"))
-            for record in failures
-        ]
-
-        wall_time_s = time.perf_counter() - wall_start
-        stats = EngineStats.from_run(
-            metrics,
-            workers=self.config.workers,
-            wall_time_s=wall_time_s,
-            cpu_time_s=time.process_time() - cpu_start,
-            peak_tile_bytes=peak_tile_bytes,
-            backend=self._backend.name,
-            backend_compile_seconds=self._backend.compile_seconds,
-            fused_greeks=0,
-        )
-        metrics.finalise(wall_time_s, stats.options_per_second,
-                         stats.tree_nodes_per_second, peak_tile_bytes)
-        metrics.publish()
-        run_span.set(
-            wall_time_s=wall_time_s,
-            options_per_second=round(stats.options_per_second, 3),
-            quarantined_options=stats.quarantined_options,
-        )
+        out = np.empty((len(options), 6), dtype=np.float64)
+        stats, failures = self._execute(
+            "engine.greeks", groups, out, started,
+            task="greeks_fused", group="fused",
+            bump_vol=bump_vol, bump_rate=bump_rate)
+        prices, delta, gamma, theta, vega, rho = out.T.copy()
         return GreeksEngineResult(
-            prices=base[:, 0].copy(),
-            delta=base[:, 1].copy(),
-            gamma=base[:, 2].copy(),
-            theta=base[:, 3].copy(),
-            vega=vega,
-            rho=rho,
-            stats=stats,
-            failures=tuple(sorted(remapped, key=lambda f: f.index)),
+            prices=prices, delta=delta, gamma=gamma, theta=theta,
+            vega=vega, rho=rho, stats=stats,
+            failures=tuple(
+                replace(record, message=f"[fused greeks] {record.message}")
+                for record in failures),
         )
 
-    def _run_greeks_fused(self, options: "list[Option]", n: int,
-                          groups: dict, bump_vol: float, bump_rate: float,
-                          wall_start: float, cpu_start: float,
-                          ) -> GreeksEngineResult:
-        """The fused greeks schedule: one 6-column task per chunk.
+    def _start(self, deadline_s: "float | None") -> "tuple[float, float]":
+        """Open a run: refuse a closed engine, clamp the chunk timeout
+        to ``deadline_s``, and return the wall and CPU start times."""
+        self._check_usable()
+        self._active_policy = self._policy.clamp_timeout(deadline_s)
+        return time.perf_counter(), time.process_time()
 
-        Each chunk's worker call builds the base contracts' lattice
-        parameters and leaves once and prices all five variant sets
-        through a single simulate sharing one 5x-wide tile
-        (:func:`repro.engine.scheduler.greeks_fused_chunk`), so a run
-        dispatches ``chunks`` calls instead of ``5 * chunks``.  The
-        stats contract is unchanged — ``options`` still counts every
-        variant pricing (5n), ``bump_passes`` is still 4 — only
-        ``groups`` shrinks (one scheduling group per depth, not five)
-        and ``fused_greeks`` flips to 1.  A failure that survives
-        retries quarantines the *option* (its whole greeks row goes
-        NaN, message prefixed ``[fused greeks]``) rather than a single
-        pass — use ``fused_greeks=False`` when per-pass attribution
-        matters more than throughput.
+    def _execute(self, span_name: str, groups: dict, out: np.ndarray,
+                 started: "tuple[float, float]", task: str = "price",
+                 group: str = "", **bumps: float,
+                 ) -> "tuple[EngineStats, tuple[FailureRecord, ...]]":
+        """Plan, dispatch and measure one run into ``out``.
+
+        The routine :meth:`run` and :meth:`run_greeks` share: each
+        group of ``groups`` (``steps -> (indices, options)``) is cut
+        into ``task`` chunks labelled ``group``, the chunks are priced
+        into ``out`` (:meth:`_dispatch`) under a run span with one
+        group span per depth, and the run's metrics are published.
+        A ``task`` prices :func:`chunk_width` contract variants per
+        option, so ``options`` and ``tree_nodes`` count every variant
+        and a multi-variant task also counts its greeks options and
+        bump passes.  Returns the stats snapshot and the failure
+        records sorted by option index.
         """
+        wall_start, cpu_start = started
+        variants = chunk_width(task)
         chunks: list[Chunk] = []
         for group_steps, (indices, members) in sorted(groups.items()):
             chunks.extend(plan_chunks(
                 indices, members, group_steps, self.profile.dtype,
                 self.config.chunk_options, self.config.tile_budget_bytes,
                 self.config.min_chunk_options, self.config.workers,
-                task="greeks_fused", group="fused",
-                width=chunk_width("greeks_fused"),
-                bump_vol=bump_vol, bump_rate=bump_rate,
+                task=task, group=group, width=variants, **bumps,
             ))
-
-        tree_nodes = len(_GREEKS_PASSES) * sum(
-            len(indices) * (nodes_per_option(s) + s + 1)
-            for s, (indices, _) in groups.items()
-        )
+        n = len(out)
 
         metrics = RunMetrics()
-        metrics.options.inc(len(_GREEKS_PASSES) * n)
-        metrics.greeks_options.inc(n)
-        metrics.bump_passes.inc(len(_GREEKS_PASSES) - 1)
-        metrics.tree_nodes.inc(tree_nodes)
+        metrics.options.inc(variants * n)
+        if variants > 1:
+            metrics.greeks_options.inc(n)
+            metrics.bump_passes.inc(variants - 1)
+        metrics.tree_nodes.inc(variants * sum(
+            len(indices) * (nodes_per_option(s) + s + 1)
+            for s, (indices, _) in groups.items()
+        ))
         metrics.groups.inc(len(groups))
         metrics.chunks.inc(len(chunks))
 
         run_span = self.tracer.start_span(
-            "engine.greeks", "run",
+            span_name, "run",
             kernel=self.kernel, profile=self.profile.name,
             family=self.family.value, workers=self.config.workers,
-            backend=self._backend.name, fused=True,
-            options=n, chunks=len(chunks),
-            bump_vol=bump_vol, bump_rate=bump_rate,
+            backend=self._backend.name,
+            options=n, chunks=len(chunks), groups=len(groups), **bumps,
         )
         group_spans: "dict[tuple[str, int], object]" = {}
         if self.tracer.enabled:
+            prefix = f"{group}:" if group else ""
             for group_steps, (indices, _) in sorted(groups.items()):
-                group_spans[("fused", group_steps)] = run_span.child(
-                    f"group[fused:steps={group_steps}]", "group",
-                    steps=group_steps, options=len(indices),
-                    task="greeks_fused",
+                group_spans[(group, group_steps)] = run_span.child(
+                    f"group[{prefix}steps={group_steps}]", "group",
+                    steps=group_steps, options=len(indices), task=task,
                 )
 
-        out = np.empty((n, 6), dtype=np.float64)
         failures: "list[FailureRecord]" = []
         peak_tile_bytes = self._dispatch(chunks, out, metrics, failures,
                                          run_span, group_spans)
-
-        remapped = [
-            replace(record, message=f"[fused greeks] {record.message}")
-            for record in failures
-        ]
 
         wall_time_s = time.perf_counter() - wall_start
         stats = EngineStats.from_run(
@@ -726,7 +529,6 @@ class PricingEngine:
             peak_tile_bytes=peak_tile_bytes,
             backend=self._backend.name,
             backend_compile_seconds=self._backend.compile_seconds,
-            fused_greeks=1,
         )
         metrics.finalise(wall_time_s, stats.options_per_second,
                          stats.tree_nodes_per_second, peak_tile_bytes)
@@ -736,16 +538,7 @@ class PricingEngine:
             options_per_second=round(stats.options_per_second, 3),
             quarantined_options=stats.quarantined_options,
         )
-        return GreeksEngineResult(
-            prices=out[:, 0].copy(),
-            delta=out[:, 1].copy(),
-            gamma=out[:, 2].copy(),
-            theta=out[:, 3].copy(),
-            vega=out[:, 4].copy(),
-            rho=out[:, 5].copy(),
-            stats=stats,
-            failures=tuple(sorted(remapped, key=lambda f: f.index)),
-        )
+        return stats, tuple(sorted(failures, key=lambda f: f.index))
 
     # -- dispatch ----------------------------------------------------------
 
@@ -865,7 +658,7 @@ class PricingEngine:
                failures: "list[FailureRecord]") -> None:
         """Scatter and count one chunk's outcome (dispatching thread only)."""
         for indices, values in outcome.pieces:
-            self._scatter(out, indices, values)
+            out[list(indices)] = values
         for latency in outcome.latencies:
             metrics.chunk_latency.observe(latency)
         metrics.retries.inc(outcome.retries)
@@ -876,20 +669,6 @@ class PricingEngine:
         else:
             metrics.quarantined_options.inc(len(outcome.failures))
         failures.extend(outcome.failures)
-
-    @staticmethod
-    def _scatter(out: np.ndarray, indices, values: np.ndarray) -> None:
-        """Write one chunk's results into the run's output array.
-
-        ``out`` is 1-D for pricing runs and ``(n, 4)`` row-per-option
-        for greeks runs; a 1-D price vector scattered into row output
-        (a bump pass) broadcasts across the row, which is harmless —
-        bump rows are only ever read back through column 0.
-        """
-        if out.ndim == 2 and values.ndim == 1:
-            out[list(indices)] = values[:, None]
-        else:
-            out[list(indices)] = values
 
     def _open_chunk_span(self, chunk: Chunk, group_spans: dict,
                          parent=None):

@@ -39,7 +39,7 @@ from ..finance.lattice import LatticeFamily, build_lattice_arrays
 from ..finance.options import Option, option_arrays
 from .workspace import Workspace, kernel_tile_bytes
 
-__all__ = ["Chunk", "KERNELS", "TASKS", "chunk_width", "greeks_chunk",
+__all__ = ["Chunk", "KERNELS", "TASKS", "chunk_width",
            "greeks_fused_chunk", "group_stream", "plan_chunks",
            "price_chunk", "split_chunk"]
 
@@ -48,22 +48,21 @@ __all__ = ["Chunk", "KERNELS", "TASKS", "chunk_width", "greeks_chunk",
 KERNELS = ("iv_a", "iv_b", "reference")
 
 #: Work a chunk can carry: ``"price"`` produces one root value per
-#: option; ``"greeks"`` produces ``[price, delta, gamma, theta]`` rows
-#: from the same single pricing pass (level capture, no re-pricing);
-#: ``"greeks_fused"`` produces the full ``[price, delta, gamma, theta,
-#: vega, rho]`` rows from one call that prices the base
+#: option; ``"greeks_fused"`` produces the full ``[price, delta,
+#: gamma, theta, vega, rho]`` rows from one call that prices the base
 #: contracts and all four bump variants through a single simulate
 #: (lattice params and leaves built once, 5x-wide shared tile).
-TASKS = ("price", "greeks", "greeks_fused")
+TASKS = ("price", "greeks_fused")
 
 
 def chunk_width(task: str) -> int:
-    """Workspace rows one option of ``task`` occupies in a tile.
+    """Contract variants (workspace rows) one option of ``task`` prices.
 
     The fused greeks task prices five contract variants per option in
     one simulate call, so its tiles are five rows wide per option; the
     planner divides its byte budget by this factor so the fused path
-    honours the same cache budget as everything else.
+    honours the same cache budget as everything else, and the engine
+    counts every variant as one tree pricing.
     """
     return 5 if task == "greeks_fused" else 1
 
@@ -78,8 +77,8 @@ class Chunk:
     :param steps: tree depth shared by every option in the tile.
     :param task: what the chunk computes — one of :data:`TASKS`.
     :param group: label of the scheduling group this chunk belongs to
-        (empty for plain pricing runs; greeks runs use it to keep the
-        base pass and the vega/rho bump passes as sibling span groups).
+        (empty for plain pricing runs, ``"fused"`` for greeks runs);
+        it names the chunk's group span.
     :param bump_vol: volatility bump of the fused greeks task (the
         task builds the vega variants itself; 0 for other tasks).
     :param bump_rate: rate bump of the fused greeks task.
@@ -198,52 +197,6 @@ def split_chunk(chunk: Chunk) -> "tuple[Chunk, ...]":
 # -- pricing one chunk -----------------------------------------------------
 
 
-def greeks_chunk(
-    kernel: str,
-    options: Sequence[Option],
-    steps: int,
-    profile,
-    family: LatticeFamily,
-    workspace: "Workspace | None" = None,
-    backend=None,
-) -> np.ndarray:
-    """Price one chunk *and* its level-0..2 sensitivities in one pass.
-
-    Returns ``(n, 4)`` float64 rows ``[price, delta, gamma, theta]``.
-    The kernel simulators run with ``capture_levels=True`` — the value
-    rows of tree levels 1 and 2 are copied out of the same time-major
-    backward loop that produces the price, so the sensitivities cost
-    no second pricing.  The reference kernel walks
-    :func:`repro.finance.greeks.tree_value_levels` per option, the
-    loop-based twin of the same capture.  Both funnel through
-    :func:`repro.finance.greeks.greeks_from_levels`, so batch and
-    scalar greeks share one formula.
-    """
-    if kernel in ("iv_a", "iv_b"):
-        simulate = (simulate_kernel_a_batch if kernel == "iv_a"
-                    else simulate_kernel_b_batch)
-        prices, level1, level2 = simulate(
-            options, steps, profile, family, workspace=workspace,
-            capture_levels=True, backend=backend)
-        fields = option_arrays(options)
-        lattice = build_lattice_arrays(options, steps, family)
-        delta, gamma, theta = greeks_from_levels(
-            fields.spot, lattice.up, lattice.down, lattice.dt,
-            prices, level1, level2)
-        return np.column_stack((prices, delta, gamma, theta))
-    if kernel == "reference":
-        rows = np.empty((len(options), 4), dtype=np.float64)
-        for i, option in enumerate(options):
-            price, level1, level2, params = tree_value_levels(
-                option, steps, family)
-            delta, gamma, theta = greeks_from_levels(
-                option.spot, params.up, params.down, params.dt, price,
-                level1, level2)
-            rows[i] = (price, delta, gamma, theta)
-        return rows
-    raise ReproError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-
-
 def greeks_fused_chunk(
     kernel: str,
     options: Sequence[Option],
@@ -258,20 +211,21 @@ def greeks_fused_chunk(
     """The full greeks set of one chunk from a single call.
 
     Returns ``(n, 6)`` float64 rows
-    ``[price, delta, gamma, theta, vega, rho]``.  Where the five-pass
-    schedule prices the base contracts and the four bump variants as
-    separate sibling chunk groups (five lattice-parameter builds, five
-    leaf builds, five dispatches), the fused task concatenates all
-    five variant sets — base, vol ±``bump_vol``, rate ±``bump_rate``,
-    in the canonical ``_GREEKS_PASSES`` order — into *one* simulate
-    call sharing one 5x-wide workspace tile.  delta/gamma/theta come
-    from level capture on the base columns; vega/rho are the central
-    differences of the bump columns.
+    ``[price, delta, gamma, theta, vega, rho]``.  The task concatenates
+    five variant sets — base, vol +/-``bump_vol`` (the down bump
+    floored at 1e-8), rate +/-``bump_rate`` — into *one* simulate call
+    sharing one 5x-wide workspace tile.  The kernel simulators run
+    with ``capture_levels=True``: the value rows of tree levels 1 and
+    2 are copied out of the same backward loop that produces the
+    price, and :func:`repro.finance.greeks.greeks_from_levels` turns
+    the base columns into delta/gamma/theta (the reference kernel
+    walks :func:`repro.finance.greeks.tree_value_levels` per option,
+    the loop-based twin of the same capture).  vega/rho are the
+    central differences of the bump columns.
 
-    Bit-compatible with the five-pass path by construction: the
-    backward roll is columnwise-independent, so pricing a variant in
-    column ``p*n + i`` of the fused tile performs exactly the
-    operation sequence pass ``p`` performed on its column ``i``.
+    The backward roll is columnwise-independent, so column ``p*n + i``
+    of the fused tile prices variant ``p`` of option ``i`` bit for bit
+    as a plain ``price`` chunk of that variant set would.
     """
     options = list(options)
     n = len(options)
@@ -348,11 +302,10 @@ def price_chunk(
     ``attempt < spec.attempts`` — a pure function of the arguments, so
     the same plan replays identically across threads and retries.
 
-    ``task="greeks"`` routes to :func:`greeks_chunk` and returns
-    ``(n, 4)`` rows instead of a price vector; ``task="greeks_fused"``
-    routes to :func:`greeks_fused_chunk` (which consumes
-    ``bump_vol``/``bump_rate``) and returns ``(n, 6)`` rows; every
-    other mechanism (faults, retries, workspace reuse) is identical.
+    ``task="greeks_fused"`` routes to :func:`greeks_fused_chunk`
+    (which consumes ``bump_vol``/``bump_rate``) and returns ``(n, 6)``
+    rows instead of a price vector; every other mechanism (faults,
+    retries, workspace reuse) is identical.
     """
     profile = (get_profile(profile_name) if isinstance(profile_name, str)
                else profile_name)
@@ -365,12 +318,6 @@ def price_chunk(
         rows = greeks_fused_chunk(kernel, options, steps, profile, family,
                                   bump_vol, bump_rate, workspace=workspace,
                                   backend=backend)
-        if faults is not None and indices is not None:
-            rows = faults.corrupt_prices(indices, attempt, rows)
-        return rows
-    if task == "greeks":
-        rows = greeks_chunk(kernel, options, steps, profile, family,
-                            workspace=workspace, backend=backend)
         if faults is not None and indices is not None:
             rows = faults.corrupt_prices(indices, attempt, rows)
         return rows

@@ -129,18 +129,14 @@ class EngineStats:
         :class:`~repro.engine.reliability.FailureRecord`.
     :param greeks_options: options whose full greeks set was computed
         (``run_greeks`` only; ``options`` then counts every tree
-        pricing including the bump passes).
-    :param bump_passes: vega/rho bump-and-reprice passes scheduled as
-        sibling chunk groups (4 per greeks run, 0 otherwise).
+        pricing including the bump variants).
+    :param bump_passes: vega/rho bump variants priced beside each base
+        contract (4 per greeks run, 0 otherwise).
     :param backend: name of the :class:`~repro.backends.KernelBackend`
         that priced the run (``"numpy"`` or ``"cnative"``).
     :param backend_compile_seconds: one-time compile cost this process
         paid to make that backend runnable (0.0 for NumPy, or when a
         compiled backend was already warm/disk-cached).
-    :param fused_greeks: 1 when a greeks run took the single-build
-        fused path (lattice params + leaves built once, bump variants
-        sharing the blocked workspace), 0 for five sibling passes and
-        for plain pricing runs.
     """
 
     options: int
@@ -158,14 +154,12 @@ class EngineStats:
     bump_passes: int = 0
     backend: str = "numpy"
     backend_compile_seconds: float = 0.0
-    fused_greeks: int = 0
 
     @classmethod
     def from_run(cls, metrics: RunMetrics, *, workers: int,
                  wall_time_s: float, cpu_time_s: float,
                  peak_tile_bytes: int, backend: str = "numpy",
-                 backend_compile_seconds: float = 0.0,
-                 fused_greeks: int = 0) -> "EngineStats":
+                 backend_compile_seconds: float = 0.0) -> "EngineStats":
         """Freeze a run's registry into the public snapshot.
 
         The count fields are read back through
@@ -184,7 +178,7 @@ class EngineStats:
                    cpu_time_s=cpu_time_s, peak_tile_bytes=peak_tile_bytes,
                    backend=backend,
                    backend_compile_seconds=backend_compile_seconds,
-                   fused_greeks=fused_greeks, **counts)
+                   **counts)
 
     @property
     def options_per_second(self) -> float:

@@ -107,12 +107,13 @@ __all__ = [
 #: backend-attribution keys ``backend`` (which
 #: :class:`~repro.backends.KernelBackend` priced the run),
 #: ``backend_compile_seconds`` (one-time JIT/C compile cost this
-#: process paid for it) and ``fused_greeks`` (1 when a greeks run took
-#: the single-build fused path instead of five sibling passes).  v9
-#: (the line continues after the sweep document's v8) drops the two
-#: process-pool counters (pool rebuilds, degradation to serial): the
-#: engine prices on threads and has no process pool any more.
-STATS_SCHEMA = "repro-engine-stats/v9"
+#: process paid for it) and a greeks-schedule flag (fused task or
+#: five sibling passes).  v9 (the line continues after the sweep
+#: document's v8) drops the two process-pool counters (pool rebuilds,
+#: degradation to serial): the engine prices on threads and has no
+#: process pool any more.  v10 drops the greeks-schedule flag: the
+#: fused task is the one greeks schedule.
+STATS_SCHEMA = "repro-engine-stats/v10"
 
 #: ``EngineStats.as_dict()`` keys, in their one canonical order.  The
 #: bench-engine JSON ``runs`` entries use exactly these keys (plus the
@@ -135,7 +136,6 @@ STATS_KEYS = (
     "bump_passes",
     "backend",
     "backend_compile_seconds",
-    "fused_greeks",
 )
 
 #: The subset of :data:`STATS_KEYS` that counts fault-tolerance events.

@@ -36,13 +36,9 @@ class TestStdoutDocuments:
         captured = capsys.readouterr()
         document = json.loads(captured.out)
         assert document["schema"] == "repro-greeks-bench/v1"
-        schedules = {run["fused_greeks"]
-                     for run in document["results"][0]["runs"]}
-        assert schedules == {0, 1}
-        fused = [run for run in document["results"][0]["runs"]
-                 if run["fused_greeks"]]
-        assert all("fused_speedup_vs_five_pass" in run for run in fused)
-        assert "five-pass" in captured.err and "fused" in captured.err
+        (run,) = document["results"][0]["runs"]
+        assert run["bump_passes"] == 4
+        assert "workers=1:" in captured.err
 
     def test_serve_bench_stdout_is_pure_json(self, capsys):
         code = main(["serve-bench", "--options", "16", "--steps", "16",

@@ -24,7 +24,7 @@ def bench_document(rate=1000.0, **config):
     return make_envelope(
         "repro-bench-engine/v4", "repro-stats/v5", cfg,
         results=[{"options": 16,
-                  "runs": [{"workers": 1, "fused_greeks": 0,
+                  "runs": [{"workers": 1,
                             "options_per_second": rate}]}])
 
 

@@ -1,33 +1,53 @@
 """The batched greeks workload: one engine run, five sensitivities.
 
-Covers the tentpole contract:
+Covers the contract of the one greeks schedule, the fused task:
 
-* delta/gamma/theta come out of the *same* engine pricing pass as the
+* delta/gamma/theta come out of the *same* backward induction as the
   prices (tree-level capture — the run performs exactly ``5 * n``
-  tree pricings: one level-captured base pass plus four bump passes,
-  never a sixth);
-* ``repro.greeks`` agrees with the scalar oracle
-  (:func:`repro.finance.greeks.lattice_greeks`) to 1e-9 under CRR on
+  tree pricings: the level-captured base contract plus four bump
+  variants, never a sixth);
+* the fused columns are bit-identical to independent references on
+  both backends, also under healing fault plans: plain engine runs
+  over the five variant sets, the scalar
+  :func:`repro.finance.greeks.lattice_greeks` oracle, and the kernel
+  IV.B simulator's level capture;
+* ``repro.greeks`` agrees with the scalar oracle to 1e-9 under CRR on
   every kernel;
 * the greeks arrays agree with central finite differences of
   :func:`price_binomial`;
-* pool fan-out is bit-identical to the serial path;
-* failures inherit the engine's quarantine machinery and are remapped
-  to the original option index with the failing pass named.
+* thread fan-out is bit-identical to the inline path;
+* a failure quarantines the option's whole greeks row, remapped to
+  the original option index.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro
+from repro.backends.cnative import CNativeBackend
+from repro.core.batch_sim import simulate_kernel_b_batch
 from repro.engine import EngineConfig, PricingEngine
 from repro.engine.faults import ALWAYS, FaultKind, FaultPlan
 from repro.errors import ReproError
 from repro.finance import generate_batch, price_binomial
-from repro.finance.greeks import lattice_greeks
+from repro.finance.greeks import greeks_from_levels, lattice_greeks
+from repro.finance.lattice import LatticeFamily, build_lattice_arrays
+from repro.finance.options import option_arrays
 
 STEPS = 64
 ORACLE_TOL = 1e-9
+BUMP_VOL = 1e-3
+BUMP_RATE = 1e-4
+
+BACKENDS = (
+    "numpy",
+    pytest.param("cnative", marks=pytest.mark.skipif(
+        not CNativeBackend.available(),
+        reason="no C toolchain for the cnative backend")),
+)
+FAULT_SEEDS = (None, 101, 202, 303)
 
 GREEK_FIELDS = ("prices", "delta", "gamma", "theta", "vega", "rho")
 
@@ -73,32 +93,13 @@ class TestSamePassContract:
         assert result.stats.greeks_options == len(batch)
         assert result.stats.bump_passes == 4
 
-    def test_five_sibling_chunk_groups(self, batch):
-        """The unfused schedule keeps five sibling chunk groups."""
-        result = repro.greeks(batch, steps=STEPS, kernel="iv_b",
-                              config=EngineConfig(fused_greeks=False))
-        assert result.stats.groups == 5  # base + vega+/- + rho+/-
-        assert result.stats.chunks >= 5
-        assert result.stats.fused_greeks == 0
-
     def test_fused_schedule_collapses_groups(self, batch):
-        """Fused mode: one scheduling group per depth, same counters."""
-        result = repro.greeks(batch, steps=STEPS, kernel="iv_b",
-                              config=EngineConfig(fused_greeks=True))
+        """One scheduling group per depth, every variant counted."""
+        result = repro.greeks(batch, steps=STEPS, kernel="iv_b")
         assert result.stats.groups == 1
         assert result.stats.options == 5 * len(batch)
         assert result.stats.greeks_options == len(batch)
         assert result.stats.bump_passes == 4
-        assert result.stats.fused_greeks == 1
-
-    def test_fused_matches_five_pass_bitwise(self, batch):
-        fused = repro.greeks(batch, steps=STEPS, kernel="iv_b",
-                             config=EngineConfig(fused_greeks=True))
-        five = repro.greeks(batch, steps=STEPS, kernel="iv_b",
-                            config=EngineConfig(fused_greeks=False))
-        for field in GREEK_FIELDS:
-            np.testing.assert_array_equal(getattr(fused, field),
-                                          getattr(five, field))
 
     def test_minimum_steps_enforced(self, batch):
         with pytest.raises(ReproError, match="at least 3 steps"):
@@ -108,6 +109,82 @@ class TestSamePassContract:
         result = repro.greeks([])
         assert len(result) == 0
         assert result.stats is None
+
+
+def variant_sets(options):
+    """Base, vol up/down (floored at 1e-8) and rate up/down contracts."""
+    return (
+        options,
+        [o.with_volatility(o.volatility + BUMP_VOL) for o in options],
+        [o.with_volatility(max(o.volatility - BUMP_VOL, 1e-8))
+         for o in options],
+        [replace(o, rate=o.rate + BUMP_RATE) for o in options],
+        [replace(o, rate=o.rate - BUMP_RATE) for o in options],
+    )
+
+
+def fused_greeks(batch, kernel, backend, seed):
+    """One engine greeks run; a seeded fault plan must heal on retry."""
+    plan = None if seed is None else FaultPlan.random(seed, len(batch))
+    config = EngineConfig(backend=backend, backoff_base_s=0.0)
+    with PricingEngine(kernel=kernel, config=config, faults=plan) as engine:
+        result = engine.run_greeks(batch, STEPS, bump_vol=BUMP_VOL,
+                                   bump_rate=BUMP_RATE)
+    assert result.failures == ()
+    assert result.stats.backend == backend
+    return result
+
+
+@pytest.mark.parametrize("seed", FAULT_SEEDS)
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestBitwiseReference:
+    """The fused task against independent references, at rtol=0."""
+
+    @pytest.fixture(autouse=True)
+    def _pinned_backend(self, monkeypatch):
+        # an ambient REPRO_BACKEND would rewrite the backend pinned here
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+
+    @pytest.mark.parametrize("kernel", ("iv_a", "iv_b"))
+    def test_price_vega_rho_equal_plain_runs(self, batch, kernel,
+                                             backend, seed):
+        """Prices are a plain run of the base set; vega/rho the central
+        differences of plain runs of the four bump sets."""
+        result = fused_greeks(batch, kernel, backend, seed)
+        with PricingEngine(kernel=kernel,
+                           config=EngineConfig(backend="numpy")) as engine:
+            base, vol_up, vol_down, rate_up, rate_down = (
+                engine.run(variants, STEPS).prices
+                for variants in variant_sets(batch))
+        np.testing.assert_array_equal(result.prices, base)
+        np.testing.assert_array_equal(
+            result.vega, (vol_up - vol_down) / (2.0 * BUMP_VOL))
+        np.testing.assert_array_equal(
+            result.rho, (rate_up - rate_down) / (2.0 * BUMP_RATE))
+
+    @pytest.mark.parametrize("kernel", ("iv_a", "reference"))
+    def test_all_columns_equal_scalar_oracle(self, batch, oracle, kernel,
+                                             backend, seed):
+        result = fused_greeks(batch, kernel, backend, seed)
+        for field in GREEK_FIELDS:
+            np.testing.assert_array_equal(getattr(result, field),
+                                          oracle[field], err_msg=field)
+
+    def test_iv_b_sensitivities_equal_level_capture(self, batch, backend,
+                                                    seed):
+        """Kernel IV.B delta/gamma/theta are the simulator's captured
+        levels 1 and 2 of the base contracts, run bare."""
+        result = fused_greeks(batch, "iv_b", backend, seed)
+        prices, level1, level2 = simulate_kernel_b_batch(
+            batch, STEPS, capture_levels=True)
+        lattice = build_lattice_arrays(batch, STEPS, LatticeFamily.CRR)
+        expected = greeks_from_levels(
+            option_arrays(batch).spot, lattice.up, lattice.down,
+            lattice.dt, prices, level1, level2)
+        np.testing.assert_array_equal(result.prices, prices)
+        for field, values in zip(("delta", "gamma", "theta"), expected):
+            np.testing.assert_array_equal(getattr(result, field), values,
+                                          err_msg=field)
 
 
 class TestFiniteDifferenceParity:
@@ -160,52 +237,14 @@ class TestPoolParity:
 
 
 class TestFailureHandling:
-    def test_base_pass_failure_remapped_and_named(self, batch):
-        """Five-pass mode isolates the failure to the pass that hit it."""
-        n = len(batch)
-        plan = FaultPlan.single(2, FaultKind.NAN, attempts=ALWAYS)
-        result = repro.greeks(batch, steps=STEPS, kernel="iv_b",
-                              config=EngineConfig(max_retries=1,
-                                                  backoff_base_s=0.0),
-                              strict=False)
-        # inject on the engine directly to control the fault plan
-        with PricingEngine(kernel="iv_b", faults=plan,
-                           config=EngineConfig(max_retries=1,
-                                               backoff_base_s=0.0,
-                                               fused_greeks=False)) as engine:
-            run = engine.run_greeks(batch, STEPS)
-        (record,) = run.failures
-        assert record.index == 2  # original index, not the virtual 2
-        assert "[base pass]" in record.message
-        assert np.isnan(run.prices[2]) and np.isnan(run.delta[2])
-        assert np.isfinite(run.vega[2])  # bump passes were untouched
-        mask = np.ones(n, dtype=bool)
-        mask[2] = False
-        np.testing.assert_array_equal(run.prices[mask], result.prices[mask])
-
-    def test_bump_pass_failure_names_the_pass(self, batch):
-        n = len(batch)
-        plan = FaultPlan.single(n + 3, FaultKind.NAN, attempts=ALWAYS)
-        with PricingEngine(kernel="iv_b", faults=plan,
-                           config=EngineConfig(max_retries=1,
-                                               backoff_base_s=0.0,
-                                               fused_greeks=False)) as engine:
-            run = engine.run_greeks(batch, STEPS)
-        (record,) = run.failures
-        assert record.index == 3
-        assert "[vega+ pass]" in record.message
-        assert np.isnan(run.vega[3])
-        assert np.isfinite(run.prices[3]) and np.isfinite(run.rho[3])
-
     def test_fused_failure_quarantines_whole_row(self, batch):
-        """Fused mode: one fused task per option, so a poisoned option
-        loses its whole greeks row and the record says so."""
+        """One fused task per option, so a poisoned option loses its
+        whole greeks row and the record says so."""
         n = len(batch)
         plan = FaultPlan.single(2, FaultKind.NAN, attempts=ALWAYS)
         with PricingEngine(kernel="iv_b", faults=plan,
                            config=EngineConfig(max_retries=1,
-                                               backoff_base_s=0.0,
-                                               fused_greeks=True)) as engine:
+                                               backoff_base_s=0.0)) as engine:
             run = engine.run_greeks(batch, STEPS)
         (record,) = run.failures
         assert record.index == 2

@@ -130,21 +130,3 @@ class TestBenchmarkHarness:
         other["config"]["steps"] = 32
         failures = check_throughput_regression(document, other)
         assert failures and "not comparable" in failures[0]
-
-    def test_baseline_agrees_with_simulator(self):
-        from repro.bench.engine_bench import (
-            baseline_simulate_kernel_a,
-            baseline_simulate_kernel_b,
-        )
-        from repro.core.batch_sim import (
-            simulate_kernel_a_batch,
-            simulate_kernel_b_batch,
-        )
-
-        batch = list(generate_batch(n_options=6, seed=21).options)
-        np.testing.assert_allclose(
-            baseline_simulate_kernel_b(batch, 16),
-            simulate_kernel_b_batch(batch, 16), rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(
-            baseline_simulate_kernel_a(batch, 16),
-            simulate_kernel_a_batch(batch, 16), rtol=1e-12, atol=1e-12)

@@ -23,22 +23,21 @@ def make_stats(**overrides) -> EngineStats:
 
 class TestStatsKeys:
     def test_schema_tag(self):
-        assert keys.STATS_SCHEMA == "repro-engine-stats/v9"
-        # v9: the engine has no process pool to rebuild or degrade from
-        for removed in ("pool_rebuilds", "degraded_to_serial"):
+        assert keys.STATS_SCHEMA == "repro-engine-stats/v10"
+        # v9: the engine has no process pool to rebuild or degrade from;
+        # v10: the fused task is the one greeks schedule, no flag for it
+        for removed in ("pool_rebuilds", "degraded_to_serial",
+                        "fused_greeks"):
             assert removed not in keys.STATS_KEYS
             assert removed not in keys.STATS_TO_METRIC
 
     def test_v4_backend_keys_present(self):
         assert "backend" in keys.STATS_KEYS
         assert "backend_compile_seconds" in keys.STATS_KEYS
-        assert "fused_greeks" in keys.STATS_KEYS
-        stats = make_stats(backend="cnative", backend_compile_seconds=1.5,
-                           fused_greeks=1)
+        stats = make_stats(backend="cnative", backend_compile_seconds=1.5)
         snapshot = stats.as_dict()
         assert snapshot["backend"] == "cnative"
         assert snapshot["backend_compile_seconds"] == 1.5
-        assert snapshot["fused_greeks"] == 1
 
     def test_as_dict_keys_exact_order(self):
         assert tuple(make_stats().as_dict()) == keys.STATS_KEYS

@@ -430,7 +430,10 @@ class TestQueueDepthGauge:
         # Exercise the transitions that bypass a plain dequeue: a shed
         # (removed by a high-priority put), a caller-side cancel and an
         # in-queue deadline expiry all must leave the gauge honest.
-        config = ServiceConfig(max_wait_ms=10_000.0, max_queue=2)
+        # max_batch=1: the filler flushes as it is dequeued instead of
+        # waiting out the 10 s coalescing window.
+        config = ServiceConfig(max_wait_ms=10_000.0, max_queue=2,
+                               max_batch=1)
         service = PricingService(config)
         try:
             gate = _BlockedFlush(service)
