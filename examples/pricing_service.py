@@ -114,7 +114,7 @@ def main() -> None:
         stats = service.close()
 
     # -- 5. what the service did, in numbers -------------------------------
-    print(f"\nService lifetime stats ({repro.obs.keys.SERVICE_STATS_SCHEMA}):")
+    print(f"\nService lifetime stats ({repro.obs.keys.STATS_SCHEMA}):")
     for key, value in stats.as_dict().items():
         print(f"  {key:20s} {value:.6g}" if isinstance(value, float)
               else f"  {key:20s} {value}")

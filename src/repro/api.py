@@ -518,8 +518,8 @@ class BatchResult:
         Dispatches on the ``type`` discriminator to the matching
         subclass; arrays come back float64 and bitwise-equal to what
         the server serialised.  ``stats`` is rebuilt as an
-        :class:`EngineStats` (derived rates recompute from the real
-        fields); ``failures`` as :class:`FailureRecord` entries whose
+        :class:`EngineStats` (keys this build does not declare are
+        dropped); ``failures`` as :class:`FailureRecord` entries whose
         ``exception`` slot is empty — strict remote callers re-raise a
         typed reconstruction via :func:`repro.errors.error_from_wire`.
         """
@@ -538,16 +538,11 @@ class BatchResult:
             raise ReproError(
                 f"unknown wire result type {type_name!r} "
                 f"(expected one of {sorted(_WIRE_RESULT_TYPES)})")
-        stats_data = data.get("stats")
-        stats = None
-        if stats_data is not None:
-            known = {f.name for f in dc_fields(EngineStats)}
-            stats = EngineStats(**{key: value
-                                   for key, value in stats_data.items()
-                                   if key in known})
+        stats = data.get("stats")
         kwargs: dict = {
             "route": str(data.get("route", "engine")),
-            "stats": stats,
+            "stats": (None if stats is None
+                      else EngineStats.from_dict("engine", stats)),
             "failures": tuple(FailureRecord.from_dict(entry)
                               for entry in data.get("failures", ())),
         }

@@ -30,7 +30,12 @@ from ..errors import ReproError
 from ..finance.lattice import LatticeFamily
 from ..finance.market import generate_batch
 from ..obs import keys as obs_keys
-from .gate import check_throughput_regression, make_envelope, write_benchmark
+from .gate import (
+    check_throughput_regression,
+    make_envelope,
+    median_run,
+    write_benchmark,
+)
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -68,12 +73,13 @@ def run_benchmark(
     """Measure engine throughput against the bare simulator call.
 
     For each batch size: time one single-threaded NumPy-path simulator
-    call over the batch (the baseline), then one engine run per
-    ``workers`` setting, asserting bit-identity with the baseline's
-    prices.
+    call over the batch (the baseline), then each ``workers`` setting
+    as the median of :data:`~repro.bench.gate.TIMED_RUNS` engine runs
+    after a warm-up (:func:`~repro.bench.gate.median_run`), asserting
+    bit-identity with the baseline's prices.
     Returns the JSON-ready result document (see ``BENCH_SCHEMA``); the
-    per-run stats use exactly the :data:`repro.obs.keys.STATS_KEYS`
-    schema, declared in the document's ``stats_schema`` field.
+    per-run stats use exactly the ``engine`` keys of
+    :mod:`repro.obs.keys`, under the document's ``stats_schema`` tag.
 
     ``backend`` selects the engine's roll-loop backend (see
     :mod:`repro.backends`).  The simulator reference is always priced
@@ -82,8 +88,8 @@ def run_benchmark(
     by a single ULP fails the benchmark.
 
     Pass a :class:`repro.obs.trace.Tracer` to record every engine run
-    as its own root span tree (one root per measured configuration;
-    the baseline call is not an engine run and is never traced).
+    as its own root span tree (warm-up and timed runs alike; the
+    baseline call is not an engine run and is never traced).
     """
     if kernel not in _SIMULATORS:
         raise ReproError(f"benchmark supports kernels "
@@ -103,7 +109,7 @@ def run_benchmark(
                                config=EngineConfig(workers=workers,
                                                    backend=backend),
                                tracer=tracer) as engine:
-                result = engine.run(batch, steps)
+                result = median_run(lambda: engine.run(batch, steps))
             if not np.array_equal(result.prices, simulator_prices):
                 raise ReproError(
                     f"engine (workers={workers}, backend="

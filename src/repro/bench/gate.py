@@ -15,6 +15,9 @@ module owns all of it once:
   ``benchmarks/BENCH_*.quick.json`` baseline shipped before this
   module) is tagged ``repro-bench/v1`` so downstream code can branch
   on one field instead of sniffing keys.
+* :func:`median_run` is the one way an engine benchmark row is timed:
+  one untimed warm-up, then :data:`TIMED_RUNS` timed runs, reporting
+  the median-wall run;
 * :func:`check_throughput_regression` is the CI gate shared by every
   ``--check-against`` code path: configurations matched on
   ``(options, workers)``, equal ``config`` required, >30% throughput
@@ -38,12 +41,14 @@ from ..errors import ReproError
 __all__ = [
     "BENCH_ENVELOPE_SCHEMA",
     "BENCH_ENVELOPE_V1",
+    "TIMED_RUNS",
     "check_throughput_regression",
     "git_revision",
     "host_info",
     "latency_summary",
     "load_benchmark",
     "make_envelope",
+    "median_run",
     "write_benchmark",
 ]
 
@@ -52,6 +57,28 @@ BENCH_ENVELOPE_SCHEMA = "repro-bench/v2"
 
 #: Envelope tag :func:`load_benchmark` assigns to pre-envelope files.
 BENCH_ENVELOPE_V1 = "repro-bench/v1"
+
+
+#: Timed runs behind every engine benchmark row (after one untimed
+#: warm-up).  One ~10 ms sample per configuration spread by a third run
+#: to run on a 2-CPU host; the median of five holds the 30 % gate.
+TIMED_RUNS = 5
+
+
+def median_run(run):
+    """Time one benchmark configuration; returns the median-wall result.
+
+    ``run()`` prices the configuration once and returns an engine
+    result.  It is called once untimed (thread pool, workspaces and
+    compiled backend warm up), then :data:`TIMED_RUNS` times; the
+    result whose ``stats.wall_time_s`` is the median is returned
+    whole, so the reported rate stays ``options / wall_time_s`` of one
+    real run.
+    """
+    run()
+    results = sorted((run() for _ in range(TIMED_RUNS)),
+                     key=lambda result: result.stats.wall_time_s)
+    return results[len(results) // 2]
 
 
 def git_revision() -> "str | None":

@@ -32,7 +32,8 @@ from ..finance.greeks import lattice_greeks
 from ..finance.lattice import LatticeFamily
 from ..finance.market import generate_batch
 from ..obs import keys as obs_keys
-from .gate import make_envelope, write_benchmark  # noqa: F401  (re-export)
+from .gate import make_envelope, median_run
+from .gate import write_benchmark  # noqa: F401  (re-export)
 
 __all__ = [
     "GREEKS_BENCH_SCHEMA",
@@ -84,12 +85,13 @@ def run_greeks_benchmark(
 ) -> dict:
     """Measure batched-greeks throughput against the scalar oracle.
 
-    For each batch size and ``workers`` setting the harness times one
-    engine greeks run, asserting per-greek agreement with the oracle
-    to :data:`PARITY_TOL`.  Returns a JSON-ready document with the
-    same shape as :func:`~repro.bench.engine_bench.run_benchmark`
-    (``config`` / ``results[*].runs`` with
-    :data:`repro.obs.keys.STATS_KEYS` rows plus
+    For each batch size and ``workers`` setting the harness times the
+    median of :data:`~repro.bench.gate.TIMED_RUNS` engine greeks runs
+    after a warm-up (:func:`~repro.bench.gate.median_run`), asserting
+    per-greek agreement with the oracle to :data:`PARITY_TOL`.  Returns
+    a JSON-ready document with the same shape as
+    :func:`~repro.bench.engine_bench.run_benchmark` (``config`` /
+    ``results[*].runs`` with ``engine`` stats rows plus
     ``speedup_vs_baseline``), so
     :func:`~repro.bench.gate.check_throughput_regression` gates both
     benchmarks.
@@ -115,9 +117,8 @@ def run_greeks_benchmark(
             with PricingEngine(kernel=kernel, profile=profile,
                                family=family, config=config,
                                tracer=tracer) as engine:
-                result = engine.run_greeks(batch, steps,
-                                           bump_vol=bump_vol,
-                                           bump_rate=bump_rate)
+                result = median_run(lambda: engine.run_greeks(
+                    batch, steps, bump_vol=bump_vol, bump_rate=bump_rate))
             engine_fields = {
                 "price": result.prices, "delta": result.delta,
                 "gamma": result.gamma, "theta": result.theta,

@@ -296,7 +296,7 @@ def run_service_benchmark(
 
     return make_envelope(
         SERVICE_BENCH_SCHEMA,
-        obs_keys.SERVICE_STATS_SCHEMA,
+        obs_keys.STATS_SCHEMA,
         config={
             "kernel": kernel,
             "family": family.value,
@@ -618,7 +618,7 @@ def run_serve_benchmark(
 
     return make_envelope(
         SERVE_BENCH_SCHEMA,
-        obs_keys.SERVE_STATS_SCHEMA,
+        obs_keys.STATS_SCHEMA,
         config={
             "kernel": "mixed",
             "variants": [list(variant) for variant in

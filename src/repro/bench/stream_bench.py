@@ -268,7 +268,7 @@ def run_stream_benchmark(
 
     return make_envelope(
         STREAM_BENCH_SCHEMA,
-        obs_keys.STREAM_STATS_SCHEMA,
+        obs_keys.STATS_SCHEMA,
         config={
             "kernel": kernel,
             "family": family.value,

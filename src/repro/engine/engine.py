@@ -77,6 +77,7 @@ from ..errors import (
 )
 from ..finance.lattice import LatticeFamily
 from ..finance.options import Option
+from ..obs.metrics import LayerMetrics
 from ..obs.trace import NULL_SPAN, Tracer, as_tracer
 from .faults import FaultPlan
 from .reliability import FailureRecord, RetryPolicy
@@ -89,7 +90,7 @@ from .scheduler import (
     price_chunk,
     split_chunk,
 )
-from .stats import EngineStats, RunMetrics
+from .stats import EngineStats
 from .workspace import Workspace
 
 __all__ = ["EngineConfig", "EngineResult", "GreeksEngineResult",
@@ -198,6 +199,11 @@ class GreeksEngineResult:
     rho: np.ndarray
     stats: EngineStats
     failures: "tuple[FailureRecord, ...]" = field(default=())
+
+
+def _per_second(count: float, wall_time_s: float) -> float:
+    """A run's throughput (infinite for a run too fast to clock)."""
+    return count / wall_time_s if wall_time_s > 0.0 else float("inf")
 
 
 @dataclass
@@ -488,7 +494,7 @@ class PricingEngine:
             ))
         n = len(out)
 
-        metrics = RunMetrics()
+        metrics = LayerMetrics("engine")
         metrics.options.inc(variants * n)
         if variants > 1:
             metrics.greeks_options.inc(n)
@@ -521,17 +527,20 @@ class PricingEngine:
                                          run_span, group_spans)
 
         wall_time_s = time.perf_counter() - wall_start
-        stats = EngineStats.from_run(
+        metrics.run_wall.observe(wall_time_s)
+        metrics.peak_tile_bytes.set(peak_tile_bytes)
+        metrics.options_per_second.set(
+            _per_second(metrics.options.value(), wall_time_s))
+        metrics.tree_nodes_per_second.set(
+            _per_second(metrics.tree_nodes.value(), wall_time_s))
+        stats = EngineStats.from_metrics(
             metrics,
             workers=self.config.workers,
             wall_time_s=wall_time_s,
             cpu_time_s=time.process_time() - cpu_start,
-            peak_tile_bytes=peak_tile_bytes,
             backend=self._backend.name,
             backend_compile_seconds=self._backend.compile_seconds,
         )
-        metrics.finalise(wall_time_s, stats.options_per_second,
-                         stats.tree_nodes_per_second, peak_tile_bytes)
         metrics.publish()
         run_span.set(
             wall_time_s=wall_time_s,
@@ -543,7 +552,7 @@ class PricingEngine:
     # -- dispatch ----------------------------------------------------------
 
     def _dispatch(self, chunks: Sequence[Chunk], out: np.ndarray,
-                  metrics: RunMetrics, failures: "list[FailureRecord]",
+                  metrics: LayerMetrics, failures: "list[FailureRecord]",
                   run_span, group_spans: dict) -> int:
         """Price every chunk into ``out``; returns the peak tile bytes.
 
@@ -591,7 +600,7 @@ class PricingEngine:
         return workspace
 
     def _run_threaded(self, chunks: Sequence[Chunk], out: np.ndarray,
-                      metrics: RunMetrics,
+                      metrics: LayerMetrics,
                       failures: "list[FailureRecord]",
                       group_spans: dict) -> None:
         """Fan the chunks out over the engine's threads.
@@ -654,7 +663,7 @@ class PricingEngine:
             for index in chunk.indices])
 
     def _apply(self, outcome: _ChunkOutcome, out: np.ndarray,
-               metrics: RunMetrics,
+               metrics: LayerMetrics,
                failures: "list[FailureRecord]") -> None:
         """Scatter and count one chunk's outcome (dispatching thread only)."""
         for indices, values in outcome.pieces:

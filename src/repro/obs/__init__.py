@@ -7,11 +7,13 @@ The observability layer of the engine and the simulated device stack:
   structured attributes and a zero-overhead disabled mode;
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges and histograms (chunks, retries, chunk latency, simulated
-  PCIe bytes, queue commands) with Prometheus text rendering;
+  PCIe bytes, queue commands) with Prometheus text rendering, plus the
+  one stats model: :class:`LayerMetrics` (a layer's scoped registry)
+  and :class:`Snapshot` (its frozen stats);
 * :mod:`repro.obs.export` — JSON span dumps, Prometheus files and the
   rendered text timeline of the simulated queue lanes;
-* :mod:`repro.obs.keys` — the one set of metric names and stats-schema
-  keys shared by ``EngineStats``, the bench JSON and the exporters.
+* :mod:`repro.obs.keys` — each layer's stats keys and metric families,
+  declared once under the one ``repro-stats/v11`` schema.
 
 Quick start::
 
@@ -31,7 +33,9 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
+    LayerMetrics,
     MetricsRegistry,
+    Snapshot,
     get_registry,
     parse_prometheus,
     set_registry,
@@ -85,7 +89,9 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LayerMetrics",
     "MetricsRegistry",
+    "Snapshot",
     "get_registry",
     "set_registry",
     "parse_prometheus",

@@ -1,9 +1,25 @@
-"""Shared metric names and the stable engine-stats schema.
+"""One declaration of every layer's stats keys and metric families.
 
-One place defines every observable name, so the metrics registry, the
-``EngineStats`` snapshot, the bench-engine JSON document and the
-Prometheus export can never drift apart.  ``docs/stats_schema.md``
-documents the schema; ``tests/obs/test_schema.py`` asserts it.
+Each layer of the stack — ``engine``, ``service``, ``serve``,
+``stream``, ``sweep`` — declares its stats-snapshot keys here once, in
+their one canonical order.  A key is one of four kinds:
+
+* ``counter`` — a Prometheus counter; the snapshot reads its total;
+* ``gauge`` — a Prometheus gauge; the snapshot reads its value;
+* ``histogram`` — a Prometheus histogram; the snapshot reads its mean;
+* ``value`` — a run value the owner passes when it takes the snapshot
+  (the engine's ``workers``/``wall_time_s``/``backend``, a service's
+  ``health``); it has no metric family.
+
+Metric families that back no snapshot key (the engine's chunk-latency
+and run-wall histograms, the service's queue-depth and health-state
+gauges) are declared beside the keys as the layer's ``export`` set.
+:class:`repro.obs.metrics.LayerMetrics` builds a layer's scoped
+registry from this declaration and :class:`repro.obs.metrics.Snapshot`
+is the frozen snapshot every layer returns, so the registry, the
+snapshot, the bench JSON, ``GET /stats`` and the Prometheus export
+cannot drift apart.  ``docs/stats_schema.md`` documents the keys;
+``tests/obs/test_schema.py`` asserts them.
 
 Naming follows the Prometheus conventions: snake_case, a library
 prefix, ``_total`` for counters, ``_seconds``/``_bytes`` units in the
@@ -12,385 +28,276 @@ name.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 __all__ = [
     "STATS_SCHEMA",
-    "STATS_KEYS",
-    "RELIABILITY_KEYS",
-    "SERVICE_STATS_SCHEMA",
-    "SERVICE_STATS_KEYS",
-    "SERVICE_REQUESTS_TOTAL",
-    "SERVICE_OPTIONS_TOTAL",
-    "SERVICE_FLUSHES_TOTAL",
-    "SERVICE_FLUSH_FULL_TOTAL",
-    "SERVICE_FLUSH_DEADLINE_TOTAL",
-    "SERVICE_FLUSH_DRAIN_TOTAL",
-    "SERVICE_CACHE_HITS_TOTAL",
-    "SERVICE_CACHE_MISSES_TOTAL",
-    "SERVICE_CACHE_EVICTIONS_TOTAL",
-    "SERVICE_CACHE_BYTES",
-    "SERVICE_INFLIGHT_JOINS_TOTAL",
-    "SERVICE_REJECTED_TOTAL",
-    "SERVICE_DEADLINE_EXPIRED_TOTAL",
-    "SERVICE_SHED_TOTAL",
-    "SERVICE_CANCELLED_TOTAL",
-    "SERVICE_ENGINE_RESTARTS_TOTAL",
-    "SERVICE_HEALTH_TRANSITIONS_TOTAL",
-    "SERVICE_HEALTH_STATE",
-    "SERVICE_QUEUE_DEPTH",
-    "SERVICE_WAIT_SECONDS",
-    "SERVICE_FLUSH_OPTIONS",
-    "SERVICE_STATS_TO_METRIC",
-    "SERVE_STATS_SCHEMA",
-    "SERVE_STATS_KEYS",
-    "SERVE_REQUESTS_TOTAL",
-    "SERVE_OPTIONS_TOTAL",
-    "SERVE_RESPONSES_TOTAL",
-    "SERVE_ERRORS_TOTAL",
-    "SERVE_BAD_REQUESTS_TOTAL",
-    "SERVE_CANCELLED_TOTAL",
-    "SERVE_SHARD_RESTARTS_TOTAL",
-    "SERVE_SHM_RESULTS_TOTAL",
-    "SERVE_PICKLE_RESULTS_TOTAL",
-    "SERVE_SHARDS",
-    "SERVE_REQUEST_SECONDS",
-    "SERVE_STATS_TO_METRIC",
-    "STREAM_STATS_SCHEMA",
-    "STREAM_STATS_KEYS",
-    "STREAM_TICKS_TOTAL",
-    "STREAM_SUPPRESSED_TICKS_TOTAL",
-    "STREAM_DIRTY_MARKS_TOTAL",
-    "STREAM_REVALUATIONS_TOTAL",
-    "STREAM_REVAL_BATCHES_TOTAL",
-    "STREAM_AGGREGATES_TOTAL",
-    "STREAM_INSTRUMENTS",
-    "STREAM_TICK_TO_RISK_SECONDS",
-    "STREAM_STATS_TO_METRIC",
-    "SWEEP_STATS_SCHEMA",
-    "SWEEP_STATS_KEYS",
-    "SWEEP_CELLS_TOTAL",
-    "SWEEP_PRUNED_TOTAL",
-    "SWEEP_EXECUTED_TOTAL",
-    "SWEEP_DONE_TOTAL",
-    "SWEEP_FAILED_TOTAL",
-    "SWEEP_SKIPPED_TOTAL",
-    "SWEEP_OPTIONS_TOTAL",
-    "SWEEP_CELL_SECONDS",
-    "SWEEP_STATS_TO_METRIC",
+    "COUNTER",
+    "GAUGE",
+    "HISTOGRAM",
+    "VALUE",
+    "DEFAULT_LATENCY_BUCKETS",
+    "Key",
+    "Layer",
+    "ENGINE",
+    "SERVICE",
+    "SERVE",
+    "STREAM",
+    "SWEEP",
+    "LAYERS",
     "BACKEND_FALLBACK_TOTAL",
-    "CHUNKS_TOTAL",
-    "GROUPS_TOTAL",
-    "OPTIONS_PRICED_TOTAL",
-    "TREE_NODES_TOTAL",
-    "GREEKS_OPTIONS_TOTAL",
-    "BUMP_PASSES_TOTAL",
-    "RETRIES_TOTAL",
-    "TIMEOUTS_TOTAL",
-    "POOL_REBUILDS_TOTAL",
-    "DEGRADED_TO_SERIAL_TOTAL",
-    "QUARANTINED_OPTIONS_TOTAL",
-    "CHUNK_LATENCY_SECONDS",
-    "RUN_WALL_SECONDS",
-    "OPTIONS_PER_SECOND",
-    "TREE_NODES_PER_SECOND",
-    "PEAK_TILE_BYTES",
     "PCIE_BYTES_TOTAL",
     "PCIE_TRANSFERS_TOTAL",
     "QUEUE_COMMANDS_TOTAL",
     "QUEUE_SIMULATED_BUSY_SECONDS",
-    "STATS_TO_METRIC",
 ]
 
-#: Version tag of the engine statistics schema (bump on key changes).
-#: v2 added the greeks-workload counters ``greeks_options`` and
-#: ``bump_passes`` (zero on plain pricing runs).  v3 is the service
-#: document (the two lines share one version counter).  v4 adds the
-#: backend-attribution keys ``backend`` (which
-#: :class:`~repro.backends.KernelBackend` priced the run),
-#: ``backend_compile_seconds`` (one-time JIT/C compile cost this
-#: process paid for it) and a greeks-schedule flag (fused task or
-#: five sibling passes).  v9 (the line continues after the sweep
-#: document's v8) drops the two process-pool counters (pool rebuilds,
-#: degradation to serial): the engine prices on threads and has no
-#: process pool any more.  v10 drops the greeks-schedule flag: the
-#: fused task is the one greeks schedule.
-STATS_SCHEMA = "repro-engine-stats/v10"
+#: Version tag of the one stats document (bump on any key change).
+#: v11 replaces the five per-layer tags (engine v10, service v5, serve
+#: v6, stream v7, sweep v8); ``docs/stats_schema.md`` maps them.
+STATS_SCHEMA = "repro-stats/v11"
 
-#: ``EngineStats.as_dict()`` keys, in their one canonical order.  The
-#: bench-engine JSON ``runs`` entries use exactly these keys (plus the
-#: harness-owned ``speedup_vs_baseline``).
-STATS_KEYS = (
-    "options",
-    "tree_nodes",
-    "groups",
-    "chunks",
-    "workers",
-    "wall_time_s",
-    "cpu_time_s",
-    "peak_tile_bytes",
-    "options_per_second",
-    "tree_nodes_per_second",
-    "retries",
-    "timeouts",
-    "quarantined_options",
-    "greeks_options",
-    "bump_passes",
-    "backend",
-    "backend_compile_seconds",
+COUNTER = "counter"
+GAUGE = "gauge"
+HISTOGRAM = "histogram"
+VALUE = "value"
+
+#: Latency histogram buckets (seconds): sub-millisecond tiles up to
+#: multi-second stragglers, then +Inf.
+DEFAULT_LATENCY_BUCKETS = (
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+    0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
-#: The subset of :data:`STATS_KEYS` that counts fault-tolerance events.
-RELIABILITY_KEYS = (
-    "retries",
-    "timeouts",
-    "quarantined_options",
-)
 
-# -- engine metrics --------------------------------------------------------
+class Key(NamedTuple):
+    """One declared stats key (or export-only metric family).
 
-CHUNKS_TOTAL = "repro_engine_chunks_total"
-GROUPS_TOTAL = "repro_engine_groups_total"
-OPTIONS_PRICED_TOTAL = "repro_engine_options_priced_total"
-TREE_NODES_TOTAL = "repro_engine_tree_nodes_total"
-GREEKS_OPTIONS_TOTAL = "repro_engine_greeks_options_total"
-BUMP_PASSES_TOTAL = "repro_engine_bump_passes_total"
-RETRIES_TOTAL = "repro_engine_retries_total"
-TIMEOUTS_TOTAL = "repro_engine_timeouts_total"
-QUARANTINED_OPTIONS_TOTAL = "repro_engine_quarantined_options_total"
-CHUNK_LATENCY_SECONDS = "repro_engine_chunk_latency_seconds"
-RUN_WALL_SECONDS = "repro_engine_run_wall_seconds"
-OPTIONS_PER_SECOND = "repro_engine_options_per_second"
-TREE_NODES_PER_SECOND = "repro_engine_tree_nodes_per_second"
-PEAK_TILE_BYTES = "repro_engine_peak_tile_bytes"
+    :param name: snapshot key, and the attribute name of the metric
+        handle on :class:`~repro.obs.metrics.LayerMetrics`.
+    :param kind: :data:`COUNTER`, :data:`GAUGE`, :data:`HISTOGRAM` or
+        :data:`VALUE`.
+    :param metric: Prometheus family name (empty for a value key).
+    :param help: Prometheus help text.
+    :param type: the snapshot value's type (``int``, ``float``,
+        ``str``).
+    :param default: the snapshot value before anything was counted.
+    :param buckets: histogram bucket bounds.
+    """
 
-# -- pricing-service metrics -----------------------------------------------
+    name: str
+    kind: str
+    metric: str = ""
+    help: str = ""
+    type: type = int
+    default: object = 0
+    buckets: tuple = ()
 
-#: Version tag of the *service* statistics schema.  The version counter
-#: continues the engine schema's line (v1 engine, v2 greeks): v3 adds
-#: the service/cache keys; v4 (backend attribution) touches only the
-#: engine document, so the service line skips it — the two documents
-#: share one version counter but are published under their own names.
-#: v5 appends the robustness keys (``deadline_expired``, ``shed``,
-#: ``cancelled``, ``engine_restarts``, ``health_transitions``,
-#: ``health``) for per-request deadlines, priority load shedding and
-#: the health/supervision state machine; every v3 key keeps its name,
-#: type and position.
-SERVICE_STATS_SCHEMA = "repro-service-stats/v5"
 
-SERVICE_REQUESTS_TOTAL = "repro_service_requests_total"
-SERVICE_OPTIONS_TOTAL = "repro_service_options_total"
-SERVICE_FLUSHES_TOTAL = "repro_service_flushes_total"
-SERVICE_FLUSH_FULL_TOTAL = "repro_service_flush_full_total"
-SERVICE_FLUSH_DEADLINE_TOTAL = "repro_service_flush_deadline_total"
-SERVICE_FLUSH_DRAIN_TOTAL = "repro_service_flush_drain_total"
-SERVICE_CACHE_HITS_TOTAL = "repro_service_cache_hits_total"
-SERVICE_CACHE_MISSES_TOTAL = "repro_service_cache_misses_total"
-SERVICE_CACHE_EVICTIONS_TOTAL = "repro_service_cache_evictions_total"
-SERVICE_CACHE_BYTES = "repro_service_cache_bytes"
-SERVICE_INFLIGHT_JOINS_TOTAL = "repro_service_inflight_joins_total"
-SERVICE_REJECTED_TOTAL = "repro_service_rejected_total"
-SERVICE_DEADLINE_EXPIRED_TOTAL = "repro_service_deadline_expired_total"
-SERVICE_SHED_TOTAL = "repro_service_shed_total"
-SERVICE_CANCELLED_TOTAL = "repro_service_cancelled_total"
-SERVICE_ENGINE_RESTARTS_TOTAL = "repro_service_engine_restarts_total"
-SERVICE_HEALTH_TRANSITIONS_TOTAL = "repro_service_health_transitions_total"
-SERVICE_HEALTH_STATE = "repro_service_health_state"
-SERVICE_QUEUE_DEPTH = "repro_service_queue_depth"
-SERVICE_WAIT_SECONDS = "repro_service_wait_seconds"
-SERVICE_FLUSH_OPTIONS = "repro_service_flush_options"
+class Layer(NamedTuple):
+    """One layer's declaration: snapshot keys in order, then the
+    metric families it exports without a snapshot key."""
 
-#: ``ServiceStats.as_dict()`` keys, in their one canonical order
-#: (mirrors :data:`STATS_KEYS` for the engine document).
-SERVICE_STATS_KEYS = (
-    "requests",
-    "options",
-    "flushes",
-    "flush_full",
-    "flush_deadline",
-    "flush_drain",
-    "cache_hits",
-    "cache_misses",
-    "cache_evictions",
-    "cache_bytes",
-    "inflight_joins",
-    "rejected",
-    "mean_wait_s",
-    "mean_flush_options",
-    "deadline_expired",
-    "shed",
-    "cancelled",
-    "engine_restarts",
-    "health_transitions",
-    "health",
-)
+    name: str
+    keys: "tuple[Key, ...]"
+    export: "tuple[Key, ...]" = ()
 
-#: Service stats-snapshot key -> the service metric it is derived from
-#: (the counters; the two ``mean_*`` keys are histogram means and
-#: ``health`` is snapshot-only, read from the health monitor).
-SERVICE_STATS_TO_METRIC = {
-    "requests": SERVICE_REQUESTS_TOTAL,
-    "options": SERVICE_OPTIONS_TOTAL,
-    "flushes": SERVICE_FLUSHES_TOTAL,
-    "flush_full": SERVICE_FLUSH_FULL_TOTAL,
-    "flush_deadline": SERVICE_FLUSH_DEADLINE_TOTAL,
-    "flush_drain": SERVICE_FLUSH_DRAIN_TOTAL,
-    "cache_hits": SERVICE_CACHE_HITS_TOTAL,
-    "cache_misses": SERVICE_CACHE_MISSES_TOTAL,
-    "cache_evictions": SERVICE_CACHE_EVICTIONS_TOTAL,
-    "cache_bytes": SERVICE_CACHE_BYTES,
-    "inflight_joins": SERVICE_INFLIGHT_JOINS_TOTAL,
-    "rejected": SERVICE_REJECTED_TOTAL,
-    "deadline_expired": SERVICE_DEADLINE_EXPIRED_TOTAL,
-    "shed": SERVICE_SHED_TOTAL,
-    "cancelled": SERVICE_CANCELLED_TOTAL,
-    "engine_restarts": SERVICE_ENGINE_RESTARTS_TOTAL,
-    "health_transitions": SERVICE_HEALTH_TRANSITIONS_TOTAL,
-}
+    @property
+    def names(self) -> "tuple[str, ...]":
+        """The snapshot keys, in ``as_dict`` order."""
+        return tuple(key.name for key in self.keys)
 
-# -- serving-tier (network front-end) metrics ------------------------------
+    def metric(self, name: str) -> str:
+        """The Prometheus family name behind key (or export) ``name``."""
+        for key in self.keys + self.export:
+            if key.name == name and key.metric:
+                return key.metric
+        raise KeyError(f"{self.name} layer has no metric {name!r}")
 
-#: Version tag of the *serve* statistics document.  The version counter
-#: continues the engine/service line (v4 engine, v5 service): v6 is the
-#: sharded network front-end's own document — per-connection request
-#: accounting, routed-shard distribution, the shared-memory vs pickle
-#: result transport split, and supervisor shard restarts.  Published
-#: under its own name; the engine and service documents are unchanged.
-SERVE_STATS_SCHEMA = "repro-serve-stats/v6"
 
-SERVE_REQUESTS_TOTAL = "repro_serve_requests_total"
-SERVE_OPTIONS_TOTAL = "repro_serve_options_total"
-SERVE_RESPONSES_TOTAL = "repro_serve_responses_total"
-SERVE_ERRORS_TOTAL = "repro_serve_errors_total"
-SERVE_BAD_REQUESTS_TOTAL = "repro_serve_bad_requests_total"
-SERVE_CANCELLED_TOTAL = "repro_serve_cancelled_total"
-SERVE_SHARD_RESTARTS_TOTAL = "repro_serve_shard_restarts_total"
-SERVE_SHM_RESULTS_TOTAL = "repro_serve_shm_results_total"
-SERVE_PICKLE_RESULTS_TOTAL = "repro_serve_pickle_results_total"
-SERVE_SHARDS = "repro_serve_shards"
-SERVE_REQUEST_SECONDS = "repro_serve_request_seconds"
+def _counter(name: str, metric: str, help: str) -> Key:
+    return Key(name, COUNTER, metric, help)
 
-#: ``ServeStats.as_dict()`` keys, in their one canonical order
-#: (mirrors :data:`STATS_KEYS`/:data:`SERVICE_STATS_KEYS`).
-SERVE_STATS_KEYS = (
-    "requests",
-    "options",
-    "responses",
-    "errors",
-    "bad_requests",
-    "cancelled",
-    "shard_restarts",
-    "shm_results",
-    "pickle_results",
-    "shards",
-    "mean_request_s",
-    "health",
-)
 
-#: Serve stats-snapshot key -> the serve metric it is derived from
-#: (the counters; ``shards`` is a gauge, ``mean_request_s`` a histogram
-#: mean and ``health`` is snapshot-only, read from the shard set).
-SERVE_STATS_TO_METRIC = {
-    "requests": SERVE_REQUESTS_TOTAL,
-    "options": SERVE_OPTIONS_TOTAL,
-    "responses": SERVE_RESPONSES_TOTAL,
-    "errors": SERVE_ERRORS_TOTAL,
-    "bad_requests": SERVE_BAD_REQUESTS_TOTAL,
-    "cancelled": SERVE_CANCELLED_TOTAL,
-    "shard_restarts": SERVE_SHARD_RESTARTS_TOTAL,
-    "shm_results": SERVE_SHM_RESULTS_TOTAL,
-    "pickle_results": SERVE_PICKLE_RESULTS_TOTAL,
-}
+def _gauge(name: str, metric: str, help: str, type: type = int) -> Key:
+    return Key(name, GAUGE, metric, help, type, type())
 
-# -- streaming-risk (incremental revaluation) metrics ----------------------
 
-#: Version tag of the *stream* statistics document.  The version
-#: counter continues the engine/service/serve line (v4/v5/v6): v7 is
-#: the streaming risk loop's own document — tick ingestion, the
-#: tolerance gate (dirty marks vs suppressed revaluations), coalesced
-#: revaluation batches, published aggregates and the tick-to-risk
-#: latency histogram.  Published by
-#: :meth:`repro.stream.StreamStats.as_dict` under ``"schema"``.
-STREAM_STATS_SCHEMA = "repro-stream-stats/v7"
+def _histogram(name: str, metric: str, help: str,
+               buckets: "tuple[float, ...]" = DEFAULT_LATENCY_BUCKETS) -> Key:
+    return Key(name, HISTOGRAM, metric, help, float, 0.0, buckets)
 
-STREAM_TICKS_TOTAL = "repro_stream_ticks_total"
-STREAM_SUPPRESSED_TICKS_TOTAL = "repro_stream_suppressed_ticks_total"
-STREAM_DIRTY_MARKS_TOTAL = "repro_stream_dirty_marks_total"
-STREAM_REVALUATIONS_TOTAL = "repro_stream_revaluations_total"
-STREAM_REVAL_BATCHES_TOTAL = "repro_stream_reval_batches_total"
-STREAM_AGGREGATES_TOTAL = "repro_stream_aggregates_total"
-STREAM_INSTRUMENTS = "repro_stream_instruments"
-STREAM_TICK_TO_RISK_SECONDS = "repro_stream_tick_to_risk_seconds"
 
-#: ``StreamStats.as_dict()`` keys, in their one canonical order
-#: (mirrors :data:`STATS_KEYS`/:data:`SERVICE_STATS_KEYS`).
-STREAM_STATS_KEYS = (
-    "ticks",
-    "suppressed_ticks",
-    "dirty_marks",
-    "revaluations",
-    "reval_batches",
-    "aggregates",
-    "instruments",
-    "mean_tick_to_risk_s",
-)
+def _value(name: str, type: type = int, default: object = None) -> Key:
+    return Key(name, VALUE, type=type,
+               default=type() if default is None else default)
 
-#: Stream stats-snapshot key -> the stream metric it is derived from
-#: (the counters; ``instruments`` is a gauge and
-#: ``mean_tick_to_risk_s`` a histogram mean).
-STREAM_STATS_TO_METRIC = {
-    "ticks": STREAM_TICKS_TOTAL,
-    "suppressed_ticks": STREAM_SUPPRESSED_TICKS_TOTAL,
-    "dirty_marks": STREAM_DIRTY_MARKS_TOTAL,
-    "revaluations": STREAM_REVALUATIONS_TOTAL,
-    "reval_batches": STREAM_REVAL_BATCHES_TOTAL,
-    "aggregates": STREAM_AGGREGATES_TOTAL,
-}
 
-# -- scenario-sweep (experiment grid) metrics ------------------------------
+#: One :meth:`repro.engine.PricingEngine.run` (or ``run_greeks``):
+#: what was priced, how it was scheduled, how fast, which backend.
+ENGINE = Layer("engine", keys=(
+    _counter("options", "repro_engine_options_priced_total",
+             "Options priced by the engine"),
+    _counter("tree_nodes", "repro_engine_tree_nodes_total",
+             "Tree-node updates performed (the paper's throughput unit)"),
+    _counter("groups", "repro_engine_groups_total",
+             "Homogeneous (steps, family, profile) groups"),
+    _counter("chunks", "repro_engine_chunks_total",
+             "Chunks planned by the scheduler"),
+    _value("workers"),
+    _value("wall_time_s", float),
+    _value("cpu_time_s", float),
+    _gauge("peak_tile_bytes", "repro_engine_peak_tile_bytes",
+           "Workspace high-water mark of the largest thread"),
+    _gauge("options_per_second", "repro_engine_options_per_second",
+           "Throughput of the most recent engine run", float),
+    _gauge("tree_nodes_per_second", "repro_engine_tree_nodes_per_second",
+           "Node-update throughput of the most recent engine run", float),
+    _counter("retries", "repro_engine_retries_total",
+             "Chunk attempts re-dispatched after a failure"),
+    _counter("timeouts", "repro_engine_timeouts_total",
+             "Chunks given up after overrunning chunk_timeout_s"),
+    _counter("quarantined_options", "repro_engine_quarantined_options_total",
+             "Options isolated by quarantine bisection (NaN + FailureRecord)"),
+    _counter("greeks_options", "repro_engine_greeks_options_total",
+             "Options whose full greeks set was computed (run_greeks)"),
+    _counter("bump_passes", "repro_engine_bump_passes_total",
+             "Bump-and-reprice passes scheduled for vega/rho differences"),
+    _value("backend", str, "numpy"),
+    _value("backend_compile_seconds", float),
+), export=(
+    _histogram("chunk_latency", "repro_engine_chunk_latency_seconds",
+               "Wall-clock latency of completed chunk pricing attempts"),
+    _histogram("run_wall", "repro_engine_run_wall_seconds",
+               "End-to-end wall time of engine runs",
+               (0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0)),
+))
 
-#: Version tag of the *sweep* statistics document.  The version
-#: counter continues the engine/service/serve/stream line
-#: (v4/v5/v6/v7): v8 is the scenario-sweep runner's own document —
-#: grid size, constraint pruning, executed vs resumed-over cells, the
-#: done/failed split, options priced through the service, and the
-#: per-cell wall-clock histogram.  Published by
-#: :meth:`repro.sweep.SweepStats.as_dict` under ``"schema"``.
-SWEEP_STATS_SCHEMA = "repro-sweep-stats/v8"
+#: One :class:`repro.service.PricingService` over its lifetime.
+SERVICE = Layer("service", keys=(
+    _counter("requests", "repro_service_requests_total",
+             "Requests accepted by submit()"),
+    _counter("options", "repro_service_options_total",
+             "Options across accepted requests"),
+    _counter("flushes", "repro_service_flushes_total",
+             "Coalesced engine flushes executed"),
+    _counter("flush_full", "repro_service_flush_full_total",
+             "Flushes triggered by max_batch"),
+    _counter("flush_deadline", "repro_service_flush_deadline_total",
+             "Flushes triggered by the max_wait_ms deadline"),
+    _counter("flush_drain", "repro_service_flush_drain_total",
+             "Flushes triggered by close() or drain()"),
+    _counter("cache_hits", "repro_service_cache_hits_total",
+             "Requests answered from the result cache"),
+    _counter("cache_misses", "repro_service_cache_misses_total",
+             "Requests that had to be computed"),
+    _counter("cache_evictions", "repro_service_cache_evictions_total",
+             "Entries evicted to stay inside cache_bytes"),
+    _gauge("cache_bytes", "repro_service_cache_bytes",
+           "Result-cache payload bytes in use"),
+    _counter("inflight_joins", "repro_service_inflight_joins_total",
+             "Requests that joined an identical in-flight computation"),
+    _counter("rejected", "repro_service_rejected_total",
+             "Submits refused with ServiceOverloadedError"),
+    _histogram("mean_wait_s", "repro_service_wait_seconds",
+               "Per-request time from submit to flush start",
+               (0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.1, 1.0)),
+    _histogram("mean_flush_options", "repro_service_flush_options",
+               "Merged batch size per flush, in options",
+               (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)),
+    _counter("deadline_expired", "repro_service_deadline_expired_total",
+             "Futures failed with DeadlineExceededError"),
+    _counter("shed", "repro_service_shed_total",
+             "Queued normal-priority entries shed to admit high-priority "
+             "work"),
+    _counter("cancelled", "repro_service_cancelled_total",
+             "Requests cancelled by their caller before flushing"),
+    _counter("engine_restarts", "repro_service_engine_restarts_total",
+             "Wedged shared engines replaced by the supervisor"),
+    _counter("health_transitions", "repro_service_health_transitions_total",
+             "Health state-machine transitions"),
+    _value("health", str, "healthy"),
+), export=(
+    _gauge("queue_depth", "repro_service_queue_depth",
+           "Admission-queue depth after the last enqueue/dequeue"),
+    _gauge("health_state", "repro_service_health_state",
+           "Service health (0 healthy, 1 degraded, 2 unhealthy)"),
+))
 
-SWEEP_CELLS_TOTAL = "repro_sweep_cells_total"
-SWEEP_PRUNED_TOTAL = "repro_sweep_cells_pruned_total"
-SWEEP_EXECUTED_TOTAL = "repro_sweep_cells_executed_total"
-SWEEP_DONE_TOTAL = "repro_sweep_cells_done_total"
-SWEEP_FAILED_TOTAL = "repro_sweep_cells_failed_total"
-SWEEP_SKIPPED_TOTAL = "repro_sweep_cells_skipped_total"
-SWEEP_OPTIONS_TOTAL = "repro_sweep_options_total"
-SWEEP_CELL_SECONDS = "repro_sweep_cell_seconds"
+#: One :class:`repro.serve.PricingServer` (the HTTP front-end).
+SERVE = Layer("serve", keys=(
+    _counter("requests", "repro_serve_requests_total",
+             "Pricing requests received"),
+    _counter("options", "repro_serve_options_total",
+             "Options across received requests"),
+    _counter("responses", "repro_serve_responses_total",
+             "Successful pricing responses"),
+    _counter("errors", "repro_serve_errors_total", "Typed error responses"),
+    _counter("bad_requests", "repro_serve_bad_requests_total",
+             "Requests rejected before routing (parse/schema)"),
+    _counter("cancelled", "repro_serve_cancelled_total",
+             "Requests cancelled by client disconnect"),
+    _counter("shard_restarts", "repro_serve_shard_restarts_total",
+             "Shard worker processes replaced by the supervisor"),
+    _counter("shm_results", "repro_serve_shm_results_total",
+             "Results transported via shared memory"),
+    _counter("pickle_results", "repro_serve_pickle_results_total",
+             "Results transported via the pickle fallback"),
+    _gauge("shards", "repro_serve_shards", "Configured shard slots"),
+    _histogram("mean_request_s", "repro_serve_request_seconds",
+               "End-to-end request latency at the server",
+               (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)),
+    _value("health", str, "healthy"),
+))
 
-#: ``SweepStats.as_dict()`` keys, in their one canonical order
-#: (mirrors :data:`STATS_KEYS`/:data:`SERVICE_STATS_KEYS`).
-SWEEP_STATS_KEYS = (
-    "cells",
-    "pruned",
-    "executed",
-    "done",
-    "failed",
-    "skipped",
-    "options",
-    "mean_cell_s",
-)
+#: One :class:`repro.stream.StreamRunner` (incremental revaluation).
+STREAM = Layer("stream", keys=(
+    _counter("ticks", "repro_stream_ticks_total",
+             "Market-data ticks applied"),
+    _counter("suppressed_ticks", "repro_stream_suppressed_ticks_total",
+             "Ticks whose move stayed inside tolerance (revaluation "
+             "suppressed)"),
+    _counter("dirty_marks", "repro_stream_dirty_marks_total",
+             "Clean->dirty transitions caused by material ticks"),
+    _counter("revaluations", "repro_stream_revaluations_total",
+             "Instruments repriced by the revaluation loop"),
+    _counter("reval_batches", "repro_stream_reval_batches_total",
+             "Coalesced revaluation batches submitted"),
+    _counter("aggregates", "repro_stream_aggregates_total",
+             "Portfolio aggregates published"),
+    _gauge("instruments", "repro_stream_instruments",
+           "Positions in the book"),
+    _histogram("mean_tick_to_risk_s", "repro_stream_tick_to_risk_seconds",
+               "Tick applied -> covering aggregate published",
+               (0.0005, 0.001, 0.002, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
+                0.5, 1.0, 5.0)),
+))
 
-#: Sweep stats-snapshot key -> the sweep metric it is derived from
-#: (the counters; ``mean_cell_s`` is a histogram mean).
-SWEEP_STATS_TO_METRIC = {
-    "cells": SWEEP_CELLS_TOTAL,
-    "pruned": SWEEP_PRUNED_TOTAL,
-    "executed": SWEEP_EXECUTED_TOTAL,
-    "done": SWEEP_DONE_TOTAL,
-    "failed": SWEEP_FAILED_TOTAL,
-    "skipped": SWEEP_SKIPPED_TOTAL,
-    "options": SWEEP_OPTIONS_TOTAL,
-}
+#: One :meth:`repro.sweep.SweepRunner.run` pass over a grid.
+SWEEP = Layer("sweep", keys=(
+    _counter("cells", "repro_sweep_cells_total",
+             "Grid cells after constraint pruning"),
+    _counter("pruned", "repro_sweep_cells_pruned_total",
+             "Grid cells removed by constraints"),
+    _counter("executed", "repro_sweep_cells_executed_total",
+             "Cells run by this pass"),
+    _counter("done", "repro_sweep_cells_done_total",
+             "Cells committed as done"),
+    _counter("failed", "repro_sweep_cells_failed_total",
+             "Cells committed as failed"),
+    _counter("skipped", "repro_sweep_cells_skipped_total",
+             "Cells already terminal in the store (resumed over)"),
+    _counter("options", "repro_sweep_options_total",
+             "Options priced by done cells"),
+    _histogram("mean_cell_s", "repro_sweep_cell_seconds",
+               "Wall-clock time of one executed cell"),
+))
 
-# -- backend-resolution metrics --------------------------------------------
+#: Every layer's declaration by name.
+LAYERS = {layer.name: layer for layer in (ENGINE, SERVICE, SERVE, STREAM,
+                                          SWEEP)}
+
+# -- metrics outside any stats snapshot ------------------------------------
 
 #: Counts ``auto`` backend resolutions that had to skip an unavailable
 #: candidate (labelled by the skipped ``backend`` name), so a broken
@@ -399,25 +306,8 @@ SWEEP_STATS_TO_METRIC = {
 #: warning.
 BACKEND_FALLBACK_TOTAL = "repro_backend_fallback_total"
 
-# -- simulated device-stack metrics ---------------------------------------
-
+#: The simulated device stack (PCIe link, command queues).
 PCIE_BYTES_TOTAL = "repro_link_pcie_bytes_total"
 PCIE_TRANSFERS_TOTAL = "repro_link_pcie_transfers_total"
 QUEUE_COMMANDS_TOTAL = "repro_queue_commands_total"
 QUEUE_SIMULATED_BUSY_SECONDS = "repro_queue_simulated_busy_seconds_total"
-
-#: Stats-snapshot key -> the run-scoped metric it is derived from.
-#: ``EngineStats``'s reliability fields are read straight out of the
-#: run's metrics registry through this mapping (the registry is the
-#: source of truth; the dataclass is its frozen snapshot).
-STATS_TO_METRIC = {
-    "groups": GROUPS_TOTAL,
-    "chunks": CHUNKS_TOTAL,
-    "options": OPTIONS_PRICED_TOTAL,
-    "tree_nodes": TREE_NODES_TOTAL,
-    "retries": RETRIES_TOTAL,
-    "timeouts": TIMEOUTS_TOTAL,
-    "quarantined_options": QUARANTINED_OPTIONS_TOTAL,
-    "greeks_options": GREEKS_OPTIONS_TOTAL,
-    "bump_passes": BUMP_PASSES_TOTAL,
-}

@@ -12,11 +12,12 @@ Two registries matter in practice:
 * the **process-wide** registry (:func:`get_registry`): the long-lived
   accumulator the simulated device stack (PCIe link, command queues)
   and every completed engine run publish into;
-* a **run-scoped** registry each :meth:`PricingEngine.run` creates:
-  the engine counts chunks/retries/latencies there, derives the frozen
-  :class:`~repro.engine.stats.EngineStats` snapshot from it, and then
-  merges it into the process-wide registry — the registry is the
-  source of truth, the dataclass its per-run snapshot.
+* a **layer-scoped** registry, one per :class:`LayerMetrics`: each
+  engine run, service, server, stream runner and sweep pass counts
+  into its own, takes its frozen :class:`Snapshot` from it, and merges
+  it into the process-wide registry — the registry is the source of
+  truth, the snapshot its frozen view.  Both are built from the
+  layer's declaration in :mod:`repro.obs.keys`.
 
 Counting is cheap (one dict lookup + add per event, and the engine
 counts per *chunk*, not per option), so metrics stay on even when
@@ -30,27 +31,26 @@ import math
 from typing import Iterable, Sequence
 
 from ..errors import ReproError
+from . import keys
+from .keys import DEFAULT_LATENCY_BUCKETS
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "LayerMetrics",
     "MetricsRegistry",
+    "Snapshot",
     "get_registry",
     "set_registry",
     "parse_prometheus",
     "DEFAULT_LATENCY_BUCKETS",
 ]
 
-#: Chunk-latency histogram buckets (seconds): sub-millisecond tiles up
-#: to multi-second stragglers, then +Inf.
-DEFAULT_LATENCY_BUCKETS = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
 
 def _label_key(labels: dict) -> "tuple[tuple[str, str], ...]":
+    if not labels:
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
@@ -318,6 +318,118 @@ def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
     global _REGISTRY
     previous, _REGISTRY = _REGISTRY, registry
     return previous
+
+
+class LayerMetrics:
+    """One layer's scoped metrics, built from its declaration.
+
+    ``LayerMetrics("service")`` makes a private registry with one
+    family per counter, gauge and histogram key of
+    :data:`repro.obs.keys.SERVICE` plus its export-only families,
+    seeds every counter and gauge with zero (absent-vs-zero is
+    ambiguous to scrapers), and exposes each handle as an attribute
+    named after its key, so the hot path is one method call per event:
+    ``metrics.requests.inc()``.  :meth:`Snapshot.from_metrics` freezes
+    it; :meth:`publish` folds it into the process-wide registry.
+    """
+
+    def __init__(self, layer: str) -> None:
+        self.layer = keys.LAYERS[layer]
+        self.registry = registry = MetricsRegistry()
+        for key in self.layer.keys + self.layer.export:
+            if key.kind == keys.COUNTER:
+                handle = registry.counter(key.metric, key.help)
+                handle.inc(0.0)
+            elif key.kind == keys.GAUGE:
+                handle = registry.gauge(key.metric, key.help)
+                handle.set(0.0)
+            elif key.kind == keys.HISTOGRAM:
+                handle = registry.histogram(key.metric, key.help, key.buckets)
+            else:
+                continue
+            setattr(self, key.name, handle)
+
+    def publish(self) -> None:
+        """Merge this layer's registry into the process-wide registry."""
+        get_registry().merge(self.registry)
+
+
+class Snapshot:
+    """The frozen stats of one layer, in its declared key order.
+
+    Values read as attributes (``stats.requests``); :meth:`as_dict`
+    is the JSON-ready form, keyed exactly by the layer's declared keys
+    (:attr:`repro.obs.keys.Layer.names`).  Build one from live metrics
+    with :meth:`from_metrics` or from its dict form with
+    :meth:`from_dict`.
+    """
+
+    __slots__ = ("layer", "_values")
+
+    def __init__(self, layer: str, values: dict) -> None:
+        object.__setattr__(self, "layer", layer)
+        object.__setattr__(self, "_values", values)
+
+    @classmethod
+    def from_metrics(cls, metrics: LayerMetrics, **values) -> "Snapshot":
+        """Freeze ``metrics``: counters and gauges read their value,
+        histograms their mean; the layer's run-value keys come from
+        ``values`` (their declared default when absent)."""
+        layer = metrics.layer
+        out = {}
+        for key in layer.keys:
+            if key.kind == keys.VALUE:
+                out[key.name] = values.pop(key.name, key.default)
+            elif key.kind == keys.HISTOGRAM:
+                hist = getattr(metrics, key.name)
+                out[key.name] = hist.sum / hist.count if hist.count else 0.0
+            else:
+                out[key.name] = key.type(getattr(metrics, key.name).value())
+        if values:
+            raise ReproError(
+                f"{layer.name} stats have no run value {sorted(values)}")
+        return cls(layer.name, out)
+
+    @classmethod
+    def from_dict(cls, layer: str, data: dict) -> "Snapshot":
+        """Rebuild from :meth:`as_dict` form: unknown keys are dropped,
+        missing keys take their declared default."""
+        return cls(layer, {key.name: data.get(key.name, key.default)
+                           for key in keys.LAYERS[layer].keys})
+
+    def as_dict(self) -> dict:
+        """JSON-ready snapshot: the layer's keys, in declared order."""
+        return dict(self._values)
+
+    def __getattr__(self, name: str):
+        if not name.startswith("_"):
+            try:
+                return self._values[name]
+            except KeyError:
+                pass
+        raise AttributeError(
+            f"{type(self).__name__} has no attribute {name!r}")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    def __reduce__(self):
+        return type(self), (self.layer, self._values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Snapshot):
+            return NotImplemented
+        return self.layer == other.layer and self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash((self.layer, tuple(self._values.items())))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._values.items())
+        return f"{type(self).__name__}[{self.layer}]({fields})"
 
 
 def parse_prometheus(text: str) -> "dict[str, float]":

@@ -13,7 +13,7 @@ result transport.  See ``docs/wire_schema.md`` for the protocol and
 
 from .client import ServeClient
 from .ring import HashRing
-from .server import PricingServer, ServeConfig, ServeMetrics, ServeStats
+from .server import PricingServer, ServeConfig
 from .shard import ShardHandle, ShardTicket
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "PricingServer",
     "ServeClient",
     "ServeConfig",
-    "ServeMetrics",
-    "ServeStats",
     "ShardHandle",
     "ShardTicket",
 ]

@@ -13,8 +13,9 @@ Endpoints::
                       error envelope; codes from repro.errors.WIRE_ERRORS)
     GET  /healthz     200 while every live shard answers pings,
                       503 once any slot is dead or wedged
-    GET  /stats       the repro-serve-stats/v6 document plus each
-                      shard's own service stats document
+    GET  /stats       the repro-stats/v11 document: this server's
+                      ``serve`` section plus each shard's ``service``
+                      section
 
 Delivery semantics carried end-to-end: ``deadline_ms`` and
 ``priority`` ride inside the request and are enforced by the shard's
@@ -50,14 +51,14 @@ from ..errors import (
 )
 from ..api import PricingRequest
 from ..obs import keys
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import LayerMetrics, Snapshot
 from ..obs.trace import as_tracer
 from ..service import HealthMonitor, HealthPolicy, ServiceConfig
 from ..service.health import HEALTH_STATE_LEVEL
 from .ring import HashRing
 from .shard import ShardHandle
 
-__all__ = ["PricingServer", "ServeConfig", "ServeMetrics", "ServeStats"]
+__all__ = ["PricingServer", "ServeConfig"]
 
 #: Protocol tag of the HTTP response envelope (the body wrapping a
 #: wire result or error).
@@ -116,91 +117,6 @@ class ServeConfig:
         if self.ping_miss_limit < 1:
             raise ServiceError(
                 f"ping_miss_limit must be >= 1, got {self.ping_miss_limit}")
-
-
-class ServeMetrics:
-    """Serve-scoped metrics, same pattern as ``ServiceMetrics``."""
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        reg = self.registry
-        self.requests = reg.counter(
-            keys.SERVE_REQUESTS_TOTAL, "Pricing requests received")
-        self.options = reg.counter(
-            keys.SERVE_OPTIONS_TOTAL, "Options across received requests")
-        self.responses = reg.counter(
-            keys.SERVE_RESPONSES_TOTAL, "Successful pricing responses")
-        self.errors = reg.counter(
-            keys.SERVE_ERRORS_TOTAL, "Typed error responses")
-        self.bad_requests = reg.counter(
-            keys.SERVE_BAD_REQUESTS_TOTAL,
-            "Requests rejected before routing (parse/schema)")
-        self.cancelled = reg.counter(
-            keys.SERVE_CANCELLED_TOTAL,
-            "Requests cancelled by client disconnect")
-        self.shard_restarts = reg.counter(
-            keys.SERVE_SHARD_RESTARTS_TOTAL,
-            "Shard worker processes replaced by the supervisor")
-        self.shm_results = reg.counter(
-            keys.SERVE_SHM_RESULTS_TOTAL,
-            "Results transported via shared memory")
-        self.pickle_results = reg.counter(
-            keys.SERVE_PICKLE_RESULTS_TOTAL,
-            "Results transported via the pickle fallback")
-        self.shards = reg.gauge(
-            keys.SERVE_SHARDS, "Configured shard slots")
-        self.request_seconds = reg.histogram(
-            keys.SERVE_REQUEST_SECONDS,
-            "End-to-end request latency at the server",
-            buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0))
-        for handle in (self.requests, self.options, self.responses,
-                       self.errors, self.bad_requests, self.cancelled,
-                       self.shard_restarts, self.shm_results,
-                       self.pickle_results):
-            handle.inc(0.0)
-        self.shards.set(0.0)
-
-    def publish(self) -> None:
-        """Merge this server's registry into the process-wide one."""
-        get_registry().merge(self.registry)
-
-
-@dataclass(frozen=True)
-class ServeStats:
-    """What one :class:`PricingServer` did over its lifetime.
-
-    Snapshot under the stable ``repro-serve-stats/v6`` schema
-    (:data:`repro.obs.keys.SERVE_STATS_KEYS`; documented in
-    ``docs/stats_schema.md``).
-    """
-
-    requests: int = 0
-    options: int = 0
-    responses: int = 0
-    errors: int = 0
-    bad_requests: int = 0
-    cancelled: int = 0
-    shard_restarts: int = 0
-    shm_results: int = 0
-    pickle_results: int = 0
-    shards: int = 0
-    mean_request_s: float = 0.0
-    health: str = "healthy"
-
-    @classmethod
-    def from_metrics(cls, metrics: ServeMetrics, health: str) -> "ServeStats":
-        registry = metrics.registry
-        counts = {stat: int(registry.value(metric))
-                  for stat, metric in keys.SERVE_STATS_TO_METRIC.items()}
-        hist = metrics.request_seconds
-        mean = hist.sum / hist.count if hist.count else 0.0
-        return cls(shards=int(metrics.shards.value()),
-                   mean_request_s=mean, health=health, **counts)
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot: :data:`~repro.obs.keys.SERVE_STATS_KEYS`,
-        in order."""
-        return {key: getattr(self, key) for key in keys.SERVE_STATS_KEYS}
 
 
 class _Disconnect(Exception):
@@ -283,7 +199,7 @@ class PricingServer:
     def __init__(self, config: "ServeConfig | None" = None, *, tracer=None):
         self.config = config or ServeConfig()
         self.tracer = as_tracer(tracer)
-        self.metrics = ServeMetrics()
+        self.metrics = LayerMetrics("serve")
         self._service_config = self.config.service or ServiceConfig()
         self._ring = HashRing(self.config.shards, self.config.replicas)
         self._shards: "list[ShardHandle | None]" = []
@@ -333,7 +249,7 @@ class PricingServer:
             raise ServiceError(f"server failed to start: {error}") from error
         return self
 
-    def stop(self) -> ServeStats:
+    def stop(self) -> Snapshot:
         """Graceful shutdown: loop, then shards; returns final stats."""
         if self._closed:
             return self.stats()
@@ -367,10 +283,11 @@ class PricingServer:
         if pickled > current_pickle:
             self.metrics.pickle_results.inc(pickled - current_pickle)
 
-    def stats(self) -> ServeStats:
-        """Current :class:`ServeStats` snapshot."""
+    def stats(self) -> Snapshot:
+        """Current ``serve`` stats snapshot."""
         self._fold_transport_counts()
-        return ServeStats.from_metrics(self.metrics, self._worst_health())
+        return Snapshot.from_metrics(self.metrics,
+                                     health=self._worst_health())
 
     def _worst_health(self) -> str:
         worst = "healthy"
@@ -581,7 +498,7 @@ class PricingServer:
         span.set(status=payload.get("error", {}).get("code", "ok"),
                  http_status=status)
         span.end()
-        self.metrics.request_seconds.observe(self._loop.time() - started)
+        self.metrics.mean_request_s.observe(self._loop.time() - started)
         return status, payload
 
     async def _route_and_await(self, request: PricingRequest,
@@ -659,13 +576,13 @@ class PricingServer:
                         "shards": shards}
 
     def _handle_stats(self) -> "tuple[int, dict]":
-        document = {"schema": keys.SERVE_STATS_SCHEMA}
-        document.update(self.stats().as_dict())
-        document["shards"] = [
-            None if handle is None else handle.stats(timeout_s=2.0)
-            for handle in self._shards
-        ]
-        return 200, document
+        return 200, {
+            "schema": keys.STATS_SCHEMA,
+            "serve": self.stats().as_dict(),
+            "shards": [None if handle is None
+                       else handle.stats(timeout_s=2.0)
+                       for handle in self._shards],
+        }
 
     @staticmethod
     def _write_response(writer: asyncio.StreamWriter, status: int,

@@ -35,7 +35,7 @@ import pickle
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -54,13 +54,6 @@ RESULT_COLUMNS = ("prices",) + GREEKS_COLUMNS
 
 def _columns_for(task: str) -> "tuple[str, ...]":
     return RESULT_COLUMNS if task == "greeks" else RESULT_COLUMNS[:1]
-
-
-def _stats_from_dict(data: "dict | None") -> "EngineStats | None":
-    if data is None:
-        return None
-    known = {f.name for f in dc_fields(EngineStats)}
-    return EngineStats(**{k: v for k, v in data.items() if k in known})
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +177,7 @@ def shard_main(index: int, config_bytes: bytes, request_q, response_q):
             response_q.put(("pong", message[1],
                             service.health().as_dict()))
         elif op == "stats":
-            document = service.stats().as_dict()
-            document["health"] = service.health().as_dict()
-            response_q.put(("stats", message[1], document))
+            response_q.put(("stats", message[1], service.stats().as_dict()))
         elif op == "wedge":
             # test hook: stop dispatching (pings go unanswered) so the
             # supervisor's wedge detection can be exercised for real
@@ -516,7 +507,8 @@ class ShardHandle:
         self._discard_segment(entry.segment)
         result = ServiceResult(
             route=meta["route"],
-            stats=_stats_from_dict(meta["stats"]),
+            stats=(None if meta["stats"] is None
+                   else EngineStats.from_dict("engine", meta["stats"])),
             failures=tuple(FailureRecord.from_dict(record)
                            for record in meta["failures"]),
             cache_hit=meta["cache_hit"],

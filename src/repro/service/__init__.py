@@ -16,7 +16,7 @@ from .health import (
     HealthState,
     RestartDecision,
 )
-from .service import PricingService, ServiceConfig, ServiceMetrics, ServiceStats
+from .service import PricingService, ServiceConfig
 
 __all__ = [
     "CacheEntry",
@@ -30,7 +30,5 @@ __all__ = [
     "RestartDecision",
     "ResultCache",
     "ServiceConfig",
-    "ServiceMetrics",
-    "ServiceStats",
     "request_key",
 ]

@@ -89,8 +89,7 @@ from ..errors import (
     ServiceError,
     ServiceOverloadedError,
 )
-from ..obs import keys
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import LayerMetrics, Snapshot
 from ..obs.trace import as_tracer
 from .cache import CacheEntry, ResultCache, request_key
 from .chaos import ChaosInjector, ChaosPlan
@@ -102,8 +101,7 @@ from .health import (
     HealthState,
 )
 
-__all__ = ["PricingService", "ServiceConfig", "ServiceMetrics",
-           "ServiceStats"]
+__all__ = ["PricingService", "ServiceConfig"]
 
 _GREEKS_COLUMNS = GREEKS_COLUMNS
 
@@ -268,168 +266,6 @@ class ServiceConfig:
             raise ServiceError(f"workers must be >= 1, got {self.workers}")
 
 
-class ServiceMetrics:
-    """Service-scoped metrics, same pattern as the engine's RunMetrics.
-
-    Counts into an owned :class:`MetricsRegistry`;
-    :meth:`publish` folds it into the process-wide registry when the
-    service closes, and :meth:`ServiceStats.from_metrics` freezes the
-    public snapshot.
-    """
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        reg = self.registry
-        self.requests = reg.counter(
-            keys.SERVICE_REQUESTS_TOTAL, "Requests accepted by submit()")
-        self.options = reg.counter(
-            keys.SERVICE_OPTIONS_TOTAL, "Options across accepted requests")
-        self.flushes = reg.counter(
-            keys.SERVICE_FLUSHES_TOTAL, "Coalesced engine flushes executed")
-        self.flush_full = reg.counter(
-            keys.SERVICE_FLUSH_FULL_TOTAL, "Flushes triggered by max_batch")
-        self.flush_deadline = reg.counter(
-            keys.SERVICE_FLUSH_DEADLINE_TOTAL,
-            "Flushes triggered by the max_wait_ms deadline")
-        self.flush_drain = reg.counter(
-            keys.SERVICE_FLUSH_DRAIN_TOTAL,
-            "Flushes triggered by close() or drain()")
-        self.cache_hits = reg.counter(
-            keys.SERVICE_CACHE_HITS_TOTAL,
-            "Requests answered from the result cache")
-        self.cache_misses = reg.counter(
-            keys.SERVICE_CACHE_MISSES_TOTAL,
-            "Requests that had to be computed")
-        self.cache_evictions = reg.counter(
-            keys.SERVICE_CACHE_EVICTIONS_TOTAL,
-            "Entries evicted to stay inside cache_bytes")
-        self.inflight_joins = reg.counter(
-            keys.SERVICE_INFLIGHT_JOINS_TOTAL,
-            "Requests that joined an identical in-flight computation")
-        self.rejected = reg.counter(
-            keys.SERVICE_REJECTED_TOTAL,
-            "Submits refused with ServiceOverloadedError")
-        self.deadline_expired = reg.counter(
-            keys.SERVICE_DEADLINE_EXPIRED_TOTAL,
-            "Futures failed with DeadlineExceededError")
-        self.shed = reg.counter(
-            keys.SERVICE_SHED_TOTAL,
-            "Queued normal-priority entries shed to admit high-priority "
-            "work")
-        self.cancelled = reg.counter(
-            keys.SERVICE_CANCELLED_TOTAL,
-            "Requests cancelled by their caller before flushing")
-        self.engine_restarts = reg.counter(
-            keys.SERVICE_ENGINE_RESTARTS_TOTAL,
-            "Wedged shared engines replaced by the supervisor")
-        self.health_transitions = reg.counter(
-            keys.SERVICE_HEALTH_TRANSITIONS_TOTAL,
-            "Health state-machine transitions")
-        self.cache_bytes = reg.gauge(
-            keys.SERVICE_CACHE_BYTES, "Result-cache payload bytes in use")
-        self.queue_depth = reg.gauge(
-            keys.SERVICE_QUEUE_DEPTH, "Admission-queue depth after the last "
-            "enqueue/dequeue")
-        self.health_state = reg.gauge(
-            keys.SERVICE_HEALTH_STATE,
-            "Service health (0 healthy, 1 degraded, 2 unhealthy)")
-        self.wait = reg.histogram(
-            keys.SERVICE_WAIT_SECONDS,
-            "Per-request time from submit to flush start",
-            buckets=(0.0005, 0.001, 0.002, 0.005, 0.01, 0.05, 0.1, 1.0))
-        self.flush_options = reg.histogram(
-            keys.SERVICE_FLUSH_OPTIONS,
-            "Merged batch size per flush, in options",
-            buckets=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024))
-        for handle in (self.requests, self.options, self.flushes,
-                       self.flush_full, self.flush_deadline,
-                       self.flush_drain, self.cache_hits, self.cache_misses,
-                       self.cache_evictions, self.inflight_joins,
-                       self.rejected, self.deadline_expired, self.shed,
-                       self.cancelled, self.engine_restarts,
-                       self.health_transitions):
-            handle.inc(0.0)
-        self.cache_bytes.set(0.0)
-        self.queue_depth.set(0.0)
-        self.health_state.set(0.0)
-
-    def publish(self) -> None:
-        """Merge this service's registry into the process-wide one."""
-        get_registry().merge(self.registry)
-
-
-@dataclass(frozen=True)
-class ServiceStats:
-    """What one :class:`PricingService` did over its lifetime.
-
-    Snapshot of the service registry under the stable
-    ``repro-service-stats/v5`` schema
-    (:data:`repro.obs.keys.SERVICE_STATS_KEYS`; documented in
-    ``docs/stats_schema.md``).  v5 appends the robustness keys —
-    ``deadline_expired``/``shed``/``cancelled``/``engine_restarts``/
-    ``health_transitions``/``health`` — after the v3 set, which is
-    unchanged in name, type and order.
-    """
-
-    requests: int = 0
-    options: int = 0
-    flushes: int = 0
-    flush_full: int = 0
-    flush_deadline: int = 0
-    flush_drain: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    cache_bytes: int = 0
-    inflight_joins: int = 0
-    rejected: int = 0
-    mean_wait_s: float = 0.0
-    mean_flush_options: float = 0.0
-    deadline_expired: int = 0
-    shed: int = 0
-    cancelled: int = 0
-    engine_restarts: int = 0
-    health_transitions: int = 0
-    health: str = HealthState.HEALTHY.value
-
-    @classmethod
-    def from_metrics(cls, metrics: ServiceMetrics,
-                     health: str = HealthState.HEALTHY.value,
-                     ) -> "ServiceStats":
-        registry = metrics.registry
-        counts = {
-            stat: int(registry.value(metric))
-            for stat, metric in keys.SERVICE_STATS_TO_METRIC.items()
-        }
-        wait = metrics.wait
-        flush_options = metrics.flush_options
-        return cls(
-            mean_wait_s=(wait.sum / wait.count) if wait.count else 0.0,
-            mean_flush_options=((flush_options.sum / flush_options.count)
-                                if flush_options.count else 0.0),
-            health=health,
-            **counts,
-        )
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Hits / (hits + misses); 0.0 before any lookup."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot in :data:`SERVICE_STATS_KEYS` order."""
-        return {key: getattr(self, key) for key in keys.SERVICE_STATS_KEYS}
-
-    def describe(self) -> str:
-        """One-line ``key=value`` summary in canonical key order."""
-        parts = []
-        for key, value in self.as_dict().items():
-            parts.append(f"{key}={value:.6g}" if isinstance(value, float)
-                         else f"{key}={value}")
-        return " ".join(parts)
-
-
 @dataclass
 class _Pending:
     """One admitted request waiting in the queue / a bucket.
@@ -482,7 +318,7 @@ class PricingService:
                  tracer=None):
         self.config = config if config is not None else ServiceConfig()
         self._tracer = as_tracer(tracer)
-        self.metrics = ServiceMetrics()
+        self.metrics = LayerMetrics("service")
         # A chaos plan injects silent cache corruption, so the cache
         # must verify; production services skip the checksum cost.
         self._cache = ResultCache(self.config.cache_bytes,
@@ -497,7 +333,7 @@ class PricingService:
         self._chaos = (ChaosInjector(self.config.chaos)
                        if self.config.chaos is not None else None)
         self._closed = False
-        self._final_stats: "ServiceStats | None" = None
+        self._final_stats: "Snapshot | None" = None
         self._max_wait_s = self.config.max_wait_ms / 1000.0
         self._engine_config = self.config.engine_config
         if self.config.workers is not None:
@@ -859,7 +695,7 @@ class PricingService:
             reason=reason, requests=len(entries), options=len(merged))
         self.metrics.flushes.inc()
         getattr(self.metrics, f"flush_{reason}").inc()
-        self.metrics.flush_options.observe(float(len(merged)))
+        self.metrics.mean_flush_options.observe(float(len(merged)))
         try:
             engine = self._engine_for(merged)
             if self._chaos is not None:
@@ -945,7 +781,7 @@ class PricingService:
     def _slice_result(self, pending: _Pending, result, lo: int, hi: int,
                       batch_options: int, flush_start: float) -> ServiceResult:
         wait_s = max(0.0, flush_start - pending.enqueued)
-        self.metrics.wait.observe(wait_s)
+        self.metrics.mean_wait_s.observe(wait_s)
         failures = tuple(replace(record, index=record.index - lo)
                          for record in result.failures
                          if lo <= record.index < hi)
@@ -1013,14 +849,15 @@ class PricingService:
         self._queue.put_control(token)
         return token.done.wait(timeout_s)
 
-    def stats(self) -> ServiceStats:
-        """A live snapshot (the final one is returned by :meth:`close`)."""
+    def stats(self) -> Snapshot:
+        """A live ``service`` stats snapshot (the final one is returned
+        by :meth:`close`)."""
         if self._final_stats is not None:
             return self._final_stats
-        return ServiceStats.from_metrics(self.metrics,
-                                         health=self._health.state.value)
+        return Snapshot.from_metrics(self.metrics,
+                                     health=self._health.state.value)
 
-    def close(self) -> ServiceStats:
+    def close(self) -> Snapshot:
         """Drain, flush, shut down; returns the final stats snapshot.
 
         New submits are rejected immediately; everything already
@@ -1052,7 +889,7 @@ class PricingService:
         for engine in self._engines.values():
             engine.close()
         if self._final_stats is None:
-            self._final_stats = ServiceStats.from_metrics(
+            self._final_stats = Snapshot.from_metrics(
                 self.metrics, health=self._health.state.value)
             self.metrics.publish()
         return self._final_stats

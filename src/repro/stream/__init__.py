@@ -22,9 +22,7 @@ from .book import (
 from .loop import (
     AggregateUpdate,
     StreamConfig,
-    StreamMetrics,
     StreamRunner,
-    StreamStats,
     full_repricing_oracle,
 )
 from .ticks import (
@@ -45,9 +43,7 @@ __all__ = [
     "ReplayTickSource",
     "RiskAggregate",
     "StreamConfig",
-    "StreamMetrics",
     "StreamRunner",
-    "StreamStats",
     "SyntheticTickSource",
     "TICKS_SCHEMA",
     "TICK_FIELDS",

@@ -36,24 +36,15 @@ from ..api import GREEKS_COLUMNS, PricingRequest, greeks as api_greeks, \
 from ..devices.base import Precision
 from ..errors import StreamError
 from ..finance.lattice import LatticeFamily
-from ..obs import keys
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import LayerMetrics, Snapshot
 from .book import AGGREGATE_COLUMNS, PositionBook, RiskAggregate
 
 __all__ = [
     "AggregateUpdate",
     "StreamConfig",
-    "StreamMetrics",
     "StreamRunner",
-    "StreamStats",
     "full_repricing_oracle",
 ]
-
-#: Tick-to-risk latency buckets (seconds): sub-millisecond tiles up to
-#: multi-second stalls.
-_LATENCY_BUCKETS = (0.0005, 0.001, 0.002, 0.005, 0.01, 0.025, 0.05,
-                    0.1, 0.25, 0.5, 1.0, 5.0)
-
 
 @dataclass(frozen=True)
 class StreamConfig:
@@ -126,80 +117,6 @@ class AggregateUpdate:
         }
 
 
-class StreamMetrics:
-    """Stream-scoped metrics (same pattern as ``ServiceMetrics``)."""
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
-        reg = self.registry
-        self.ticks = reg.counter(
-            keys.STREAM_TICKS_TOTAL, "Market-data ticks applied")
-        self.suppressed_ticks = reg.counter(
-            keys.STREAM_SUPPRESSED_TICKS_TOTAL,
-            "Ticks whose move stayed inside tolerance (revaluation "
-            "suppressed)")
-        self.dirty_marks = reg.counter(
-            keys.STREAM_DIRTY_MARKS_TOTAL,
-            "Clean->dirty transitions caused by material ticks")
-        self.revaluations = reg.counter(
-            keys.STREAM_REVALUATIONS_TOTAL,
-            "Instruments repriced by the revaluation loop")
-        self.reval_batches = reg.counter(
-            keys.STREAM_REVAL_BATCHES_TOTAL,
-            "Coalesced revaluation batches submitted")
-        self.aggregates = reg.counter(
-            keys.STREAM_AGGREGATES_TOTAL,
-            "Portfolio aggregates published")
-        self.instruments = reg.gauge(
-            keys.STREAM_INSTRUMENTS, "Positions in the book")
-        self.tick_to_risk = reg.histogram(
-            keys.STREAM_TICK_TO_RISK_SECONDS,
-            "Tick applied -> covering aggregate published",
-            buckets=_LATENCY_BUCKETS)
-        for handle in (self.ticks, self.suppressed_ticks,
-                       self.dirty_marks, self.revaluations,
-                       self.reval_batches, self.aggregates):
-            handle.inc(0.0)
-        self.instruments.set(0.0)
-
-
-@dataclass(frozen=True)
-class StreamStats:
-    """Snapshot of one runner under ``repro-stream-stats/v7``
-    (:data:`repro.obs.keys.STREAM_STATS_KEYS`)."""
-
-    ticks: int = 0
-    suppressed_ticks: int = 0
-    dirty_marks: int = 0
-    revaluations: int = 0
-    reval_batches: int = 0
-    aggregates: int = 0
-    instruments: int = 0
-    mean_tick_to_risk_s: float = 0.0
-
-    @classmethod
-    def from_metrics(cls, metrics: StreamMetrics) -> "StreamStats":
-        registry = metrics.registry
-        counts = {
-            stat: int(registry.value(metric))
-            for stat, metric in keys.STREAM_STATS_TO_METRIC.items()
-        }
-        latency = metrics.tick_to_risk
-        return cls(
-            instruments=int(metrics.instruments.value()),
-            mean_tick_to_risk_s=((latency.sum / latency.count)
-                                 if latency.count else 0.0),
-            **counts,
-        )
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot in :data:`STREAM_STATS_KEYS` order."""
-        out = {"schema": keys.STREAM_STATS_SCHEMA}
-        out.update({key: getattr(self, key)
-                    for key in keys.STREAM_STATS_KEYS})
-        return out
-
-
 @dataclass
 class _PendingLatency:
     """Arrival times of ticks awaiting their covering aggregate."""
@@ -228,7 +145,7 @@ class StreamRunner:
         self.service = service
         self.config = config
         self.on_aggregate = on_aggregate
-        self.metrics = StreamMetrics()
+        self.metrics = LayerMetrics("stream")
         self.metrics.instruments.set(float(len(book)))
         #: every published update, in sequence order
         self.published: "list[AggregateUpdate]" = []
@@ -319,7 +236,7 @@ class StreamRunner:
         published_at = time.monotonic()
         for arrival in self._pending.arrivals:
             sample = max(0.0, published_at - arrival)
-            self.metrics.tick_to_risk.observe(sample)
+            self.metrics.mean_tick_to_risk_s.observe(sample)
             self.latencies.append(sample)
         self._pending.arrivals.clear()
         self._ticks_since_reval = 0
@@ -327,8 +244,9 @@ class StreamRunner:
             self.on_aggregate(update)
         return update
 
-    def stats(self) -> StreamStats:
-        return StreamStats.from_metrics(self.metrics)
+    def stats(self) -> Snapshot:
+        """A live ``stream`` stats snapshot."""
+        return Snapshot.from_metrics(self.metrics)
 
 
 def full_repricing_oracle(book: PositionBook,

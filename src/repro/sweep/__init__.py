@@ -14,12 +14,13 @@ re-execution.
 
 CLI: ``repro sweep run | resume | status | report``.  Wire schemas:
 ``repro-sweep-spec/v1``, ``repro-sweep-row/v1``,
-``repro-sweep-frontier/v1``, stats ``repro-sweep-stats/v8`` — see
+``repro-sweep-frontier/v1``; stats are the ``sweep`` section of
+``repro-stats/v11`` — see
 ``docs/sweeps.md``.
 """
 
 from .frontier import FRONTIER_SCHEMA, frontier_report, render_frontier
-from .runner import SweepRunner, SweepStats
+from .runner import SweepRunner
 from .spec import (
     AXIS_NAMES,
     CONSTRAINTS,
@@ -46,7 +47,6 @@ __all__ = [
     "RunStore",
     "SweepRunner",
     "SweepSpec",
-    "SweepStats",
     "SweepRow",
     "builtin_spec",
     "cell_id",

@@ -34,40 +34,17 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 
 import numpy as np
 
 from ..api import PricingRequest
 from ..errors import SweepError, wire_error
-from ..obs import keys as obs_keys
-from ..obs.metrics import get_registry
+from ..obs.metrics import LayerMetrics, Snapshot
 from .spec import SweepSpec
 from .store import RunStore, SweepRow
 
-__all__ = ["SweepRunner", "SweepStats"]
-
-
-@dataclass(frozen=True)
-class SweepStats:
-    """Snapshot of one runner pass under ``repro-sweep-stats/v8``
-    (:data:`repro.obs.keys.SWEEP_STATS_KEYS`)."""
-
-    cells: int = 0
-    pruned: int = 0
-    executed: int = 0
-    done: int = 0
-    failed: int = 0
-    skipped: int = 0
-    options: int = 0
-    mean_cell_s: float = 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot in :data:`SWEEP_STATS_KEYS` order."""
-        out = {"schema": obs_keys.SWEEP_STATS_SCHEMA}
-        for key in obs_keys.SWEEP_STATS_KEYS:
-            out[key] = getattr(self, key)
-        return out
+__all__ = ["SweepRunner"]
 
 
 def _cell_seed(base_seed: int, cell: str) -> int:
@@ -282,10 +259,12 @@ class SweepRunner:
 
         return host_info()
 
-    def run(self, limit: "int | None" = None) -> SweepStats:
+    def run(self, limit: "int | None" = None) -> Snapshot:
         """Run every not-yet-terminal cell (at most ``limit`` of them).
 
-        Returns the pass's :class:`SweepStats`.  Safe to call on a
+        Returns the pass's ``sweep`` stats snapshot, taken from the
+        pass's own metrics, which are then published into the
+        process-wide registry.  Safe to call on a
         completed store: it appends nothing and executes nothing — a
         finished grid re-runs as a no-op.
         """
@@ -309,12 +288,10 @@ class SweepRunner:
         if limit is not None:
             to_run = to_run[:max(int(limit), 0)]
 
-        registry = get_registry()
-        registry.counter(obs_keys.SWEEP_CELLS_TOTAL).inc(len(conditions))
-        registry.counter(obs_keys.SWEEP_PRUNED_TOTAL).inc(
-            self.spec.pruned_count())
-        registry.counter(obs_keys.SWEEP_SKIPPED_TOTAL).inc(len(terminal))
-        cell_seconds = registry.histogram(obs_keys.SWEEP_CELL_SECONDS)
+        metrics = LayerMetrics("sweep")
+        metrics.cells.inc(len(conditions))
+        metrics.pruned.inc(self.spec.pruned_count())
+        metrics.skipped.inc(len(terminal))
 
         run_span = None
         if self.tracer is not None:
@@ -323,8 +300,6 @@ class SweepRunner:
                 spec=fingerprint, cells=len(conditions),
                 resumed_over=len(terminal))
 
-        executed = done = failed = options = 0
-        wall_total = 0.0
         try:
             for condition in to_run:
                 cell = condition["cell"]
@@ -341,7 +316,7 @@ class SweepRunner:
                 except Exception as exc:  # typed per-cell failure scoping
                     wall = time.perf_counter() - wall_start
                     code, _status = wire_error(exc)
-                    failed += 1
+                    metrics.failed.inc()
                     self.store.append(SweepRow(
                         cell=cell, status="failed", spec=fingerprint,
                         condition=bare,
@@ -349,42 +324,28 @@ class SweepRunner:
                         meta={"started_at": started_at,
                               "finished_at": self._clock(),
                               "wall_s": wall, "host": self._host_meta()}))
-                    registry.counter(obs_keys.SWEEP_FAILED_TOTAL).inc()
                 else:
                     wall = time.perf_counter() - wall_start
-                    done += 1
-                    options += fields["options"]
+                    metrics.done.inc()
+                    metrics.options.inc(fields["options"])
                     self.store.append(SweepRow(
                         cell=cell, status="done", spec=fingerprint,
                         condition=bare, result=fields,
                         meta=dict(run_meta, started_at=started_at,
                                   finished_at=self._clock(),
                                   wall_s=wall, host=self._host_meta())))
-                    registry.counter(obs_keys.SWEEP_DONE_TOTAL).inc()
-                    registry.counter(obs_keys.SWEEP_OPTIONS_TOTAL).inc(
-                        fields["options"])
-                executed += 1
-                wall_total += wall
-                cell_seconds.observe(wall)
-                registry.counter(obs_keys.SWEEP_EXECUTED_TOTAL).inc()
+                metrics.executed.inc()
+                metrics.mean_cell_s.observe(wall)
                 if cell_span is not None:
                     cell_span.set(wall_s=wall).end()
         finally:
+            stats = Snapshot.from_metrics(metrics)
+            metrics.publish()
             if run_span is not None:
-                run_span.set(executed=executed, done=done,
-                             failed=failed).end()
+                run_span.set(executed=stats.executed, done=stats.done,
+                             failed=stats.failed).end()
             self._close_services()
-
-        return SweepStats(
-            cells=len(conditions),
-            pruned=self.spec.pruned_count(),
-            executed=executed,
-            done=done,
-            failed=failed,
-            skipped=len(terminal),
-            options=options,
-            mean_cell_s=(wall_total / executed if executed else 0.0),
-        )
+        return stats
 
     def status(self) -> "dict[str, int]":
         """Latest-status histogram of the store (see ``RunStore.counts``)."""

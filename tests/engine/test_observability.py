@@ -28,6 +28,12 @@ from repro.obs.export import chunk_span_seconds
 from repro.obs.metrics import MetricsRegistry, parse_prometheus, set_registry
 from repro.obs.trace import NULL_TRACER, Tracer, max_depth
 
+OPTIONS_PRICED_TOTAL = keys.ENGINE.metric("options")
+CHUNKS_TOTAL = keys.ENGINE.metric("chunks")
+RETRIES_TOTAL = keys.ENGINE.metric("retries")
+QUARANTINED_OPTIONS_TOTAL = keys.ENGINE.metric("quarantined_options")
+CHUNK_LATENCY_SECONDS = keys.ENGINE.metric("chunk_latency")
+
 STEPS = 8
 CONFIG = dict(backoff_base_s=0.0, chunk_options=8)
 
@@ -179,12 +185,12 @@ class TestMetricsAgreement:
         finally:
             set_registry(previous)
         samples = parse_prometheus(text)
-        assert samples[keys.OPTIONS_PRICED_TOTAL] == len(batch)
-        assert samples[keys.CHUNKS_TOTAL] == result.stats.chunks
-        assert samples[keys.RETRIES_TOTAL] == result.stats.retries == 0
-        assert (samples[keys.QUARANTINED_OPTIONS_TOTAL]
+        assert samples[OPTIONS_PRICED_TOTAL] == len(batch)
+        assert samples[CHUNKS_TOTAL] == result.stats.chunks
+        assert samples[RETRIES_TOTAL] == result.stats.retries == 0
+        assert (samples[QUARANTINED_OPTIONS_TOTAL]
                 == len(result.failures) == 0)
-        assert samples[f"{keys.CHUNK_LATENCY_SECONDS}_count"] \
+        assert samples[f"{CHUNK_LATENCY_SECONDS}_count"] \
             == result.stats.chunks
 
     def test_failure_counters_match_engine_result(self, batch):
@@ -197,8 +203,8 @@ class TestMetricsAgreement:
         finally:
             set_registry(previous)
         samples = parse_prometheus(text)
-        assert samples[keys.QUARANTINED_OPTIONS_TOTAL] == len(result.failures)
-        assert samples[keys.RETRIES_TOTAL] == result.stats.retries > 0
+        assert samples[QUARANTINED_OPTIONS_TOTAL] == len(result.failures)
+        assert samples[RETRIES_TOTAL] == result.stats.retries > 0
 
 
     def test_threaded_counts_survive_thread_switches(self, batch, expected):
@@ -220,8 +226,8 @@ class TestMetricsAgreement:
             set_registry(previous)
         assert np.array_equal(result.prices, expected)
         samples = parse_prometheus(text)
-        assert result.stats.retries == samples[keys.RETRIES_TOTAL] == 8
-        assert samples[f"{keys.CHUNK_LATENCY_SECONDS}_count"] == len(batch)
+        assert result.stats.retries == samples[RETRIES_TOTAL] == 8
+        assert samples[f"{CHUNK_LATENCY_SECONDS}_count"] == len(batch)
         root = tracer.as_dicts()[0]
         assert len(spans_of_kind(root, "attempt")) == len(batch) + 8
 

@@ -1,94 +1,212 @@
-"""The stable engine-stats schema, asserted (see docs/stats_schema.md).
+"""The one stats schema, asserted (see docs/stats_schema.md).
 
-Every reporting surface — ``EngineStats.as_dict``/``describe``, the
-bench-engine JSON, the Prometheus export — must use exactly the
-``repro.obs.keys`` names.  Renaming or reordering a key is a schema
-version bump, and this file is the tripwire.
+Every layer declares its keys once in ``repro.obs.keys``; every
+reporting surface — a layer's ``Snapshot.as_dict``, the bench JSON,
+``GET /stats``, the Prometheus export — must use exactly those keys.
+Renaming or reordering a key is a schema version bump, and this file
+is the tripwire.
 """
 
+import pickle
 import re
 
+import pytest
+
+from repro import generate_batch
 from repro.bench.engine_bench import run_benchmark
-from repro.engine.stats import EngineStats, RunMetrics
+from repro.engine import PricingEngine
+from repro.engine.stats import EngineStats
+from repro.errors import ReproError
 from repro.obs import keys
-from repro.obs.metrics import MetricsRegistry, parse_prometheus, set_registry
+from repro.obs.metrics import (
+    LayerMetrics,
+    MetricsRegistry,
+    Snapshot,
+    parse_prometheus,
+    set_registry,
+)
+
+#: Each layer's keys under ``repro-stats/v11``, in order: the keys and
+#: order of the five per-layer documents it replaced (stream and sweep
+#: no longer embed a ``schema`` key).
+V11_KEYS = {
+    "engine": (
+        "options", "tree_nodes", "groups", "chunks", "workers",
+        "wall_time_s", "cpu_time_s", "peak_tile_bytes",
+        "options_per_second", "tree_nodes_per_second", "retries",
+        "timeouts", "quarantined_options", "greeks_options", "bump_passes",
+        "backend", "backend_compile_seconds",
+    ),
+    "service": (
+        "requests", "options", "flushes", "flush_full", "flush_deadline",
+        "flush_drain", "cache_hits", "cache_misses", "cache_evictions",
+        "cache_bytes", "inflight_joins", "rejected", "mean_wait_s",
+        "mean_flush_options", "deadline_expired", "shed", "cancelled",
+        "engine_restarts", "health_transitions", "health",
+    ),
+    "serve": (
+        "requests", "options", "responses", "errors", "bad_requests",
+        "cancelled", "shard_restarts", "shm_results", "pickle_results",
+        "shards", "mean_request_s", "health",
+    ),
+    "stream": (
+        "ticks", "suppressed_ticks", "dirty_marks", "revaluations",
+        "reval_batches", "aggregates", "instruments", "mean_tick_to_risk_s",
+    ),
+    "sweep": (
+        "cells", "pruned", "executed", "done", "failed", "skipped",
+        "options", "mean_cell_s",
+    ),
+}
+
+LAYERS = tuple(V11_KEYS)
+
+METRIC_KINDS = (keys.COUNTER, keys.GAUGE, keys.HISTOGRAM)
 
 
-def make_stats(**overrides) -> EngineStats:
-    base = dict(options=8, tree_nodes=100, groups=1, chunks=2, workers=1,
-                wall_time_s=0.5, cpu_time_s=0.4, peak_tile_bytes=1024)
-    base.update(overrides)
-    return EngineStats(**base)
+def fresh_snapshot(layer: str) -> Snapshot:
+    return Snapshot.from_metrics(LayerMetrics(layer))
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+class TestLayerSchema:
+    def test_declared_keys_are_the_v11_keys(self, layer):
+        assert keys.LAYERS[layer].names == V11_KEYS[layer]
+
+    def test_as_dict_keys_in_declared_order(self, layer):
+        snapshot = fresh_snapshot(layer)
+        assert tuple(snapshot.as_dict()) == keys.LAYERS[layer].names
+        for key in keys.LAYERS[layer].keys:
+            value = getattr(snapshot, key.name)
+            assert value == key.default
+            assert type(value) is key.type, key.name
+
+    def test_metric_keys_have_handles(self, layer):
+        metrics = LayerMetrics(layer)
+        declared = keys.LAYERS[layer]
+        for key in declared.keys + declared.export:
+            if key.kind in METRIC_KINDS:
+                handle = metrics.registry.get(key.metric)
+                assert handle is not None, key.metric
+                assert getattr(metrics, key.name) is handle
+            else:
+                assert key.kind == keys.VALUE and not key.metric
+                assert not hasattr(metrics, key.name)
+
+    def test_counters_render_zero(self, layer):
+        text = LayerMetrics(layer).registry.render_prometheus()
+        samples = parse_prometheus(text)
+        counters = [key.metric for key in keys.LAYERS[layer].keys
+                    if key.kind == keys.COUNTER]
+        assert counters
+        for metric in counters:
+            assert samples[metric] == 0, metric
+
+    def test_from_dict_drops_unknown_keys(self, layer):
+        snapshot = fresh_snapshot(layer)
+        data = dict(snapshot.as_dict(), fused_greeks=True,
+                    schema="repro-old-stats/v1")
+        rebuilt = Snapshot.from_dict(layer, data)
+        assert rebuilt == snapshot
+        assert tuple(rebuilt.as_dict()) == keys.LAYERS[layer].names
 
 
 class TestStatsKeys:
     def test_schema_tag(self):
-        assert keys.STATS_SCHEMA == "repro-engine-stats/v10"
+        assert keys.STATS_SCHEMA == "repro-stats/v11"
+        tags = [value for value in vars(keys).values()
+                if isinstance(value, str) and value.startswith("repro-")]
+        assert tags == [keys.STATS_SCHEMA]
         # v9: the engine has no process pool to rebuild or degrade from;
         # v10: the fused task is the one greeks schedule, no flag for it
         for removed in ("pool_rebuilds", "degraded_to_serial",
                         "fused_greeks"):
-            assert removed not in keys.STATS_KEYS
-            assert removed not in keys.STATS_TO_METRIC
+            assert removed not in keys.ENGINE.names
 
     def test_v4_backend_keys_present(self):
-        assert "backend" in keys.STATS_KEYS
-        assert "backend_compile_seconds" in keys.STATS_KEYS
-        stats = make_stats(backend="cnative", backend_compile_seconds=1.5)
+        stats = EngineStats.from_metrics(
+            LayerMetrics("engine"), backend="cnative",
+            backend_compile_seconds=1.5)
         snapshot = stats.as_dict()
         assert snapshot["backend"] == "cnative"
         assert snapshot["backend_compile_seconds"] == 1.5
 
     def test_as_dict_keys_exact_order(self):
-        assert tuple(make_stats().as_dict()) == keys.STATS_KEYS
+        with PricingEngine(kernel="iv_b") as engine:
+            stats = engine.run(generate_batch(n_options=4).options,
+                               steps=16).stats
+        assert isinstance(stats, EngineStats)
+        assert tuple(stats.as_dict()) == keys.ENGINE.names
+        assert stats.options == 4 and stats.workers == 1
+        assert stats.options_per_second == stats.options / stats.wall_time_s
 
     def test_all_keys_snake_case(self):
-        for key in keys.STATS_KEYS:
-            assert re.fullmatch(r"[a-z][a-z0-9_]*", key), key
+        for layer in keys.LAYERS.values():
+            for key in layer.keys + layer.export:
+                assert re.fullmatch(r"[a-z][a-z0-9_]*", key.name), key
+                if key.metric:
+                    assert key.metric.startswith(f"repro_{layer.name}_"), key
 
-    def test_describe_uses_schema_order(self):
-        described = make_stats(retries=3).describe()
-        described_keys = tuple(part.split("=")[0]
-                               for part in described.split())
-        assert described_keys == keys.STATS_KEYS
-        assert "retries=3" in described
 
-    def test_reliability_keys_are_subset(self):
-        assert set(keys.RELIABILITY_KEYS) <= set(keys.STATS_KEYS)
-        counters = make_stats(timeouts=2).reliability_counters
-        assert tuple(counters) == keys.RELIABILITY_KEYS
-        assert counters["timeouts"] == 2
+class TestSweepStatsKeys:
+    def test_all_keys_snake_case(self):
+        metrics = LayerMetrics("sweep")
+        metrics.cells.inc(4)
+        snapshot = Snapshot.from_metrics(metrics).as_dict()
+        assert tuple(snapshot) == keys.SWEEP.names
+        assert snapshot["cells"] == 4
+        for key in keys.SWEEP.keys + keys.SWEEP.export:
+            assert re.fullmatch(r"[a-z][a-z0-9_]*", key.name), key
+            if key.metric:
+                assert key.metric.startswith("repro_sweep_"), key
 
 
 class TestStatsFromRegistry:
     def test_from_run_reads_metrics(self):
-        metrics = RunMetrics()
+        metrics = LayerMetrics("engine")
         metrics.options.inc(8)
         metrics.tree_nodes.inc(100)
         metrics.groups.inc(1)
         metrics.chunks.inc(2)
         metrics.retries.inc(3)
-        stats = EngineStats.from_run(metrics, workers=1, wall_time_s=0.5,
-                                     cpu_time_s=0.4, peak_tile_bytes=64)
-        assert stats.options == 8
+        metrics.peak_tile_bytes.set(64)
+        metrics.chunk_latency.observe(0.25)
+        stats = EngineStats.from_metrics(metrics, workers=1,
+                                         wall_time_s=0.5, cpu_time_s=0.4)
+        assert stats.options == 8 and type(stats.options) is int
         assert stats.retries == 3
         assert stats.quarantined_options == 0
+        assert stats.peak_tile_bytes == 64
+        assert stats.wall_time_s == 0.5
+        with pytest.raises(ReproError, match="fused_greeks"):
+            EngineStats.from_metrics(metrics, fused_greeks=True)
 
-    def test_stats_to_metric_targets_exist(self):
-        metrics = RunMetrics()
-        for stat, metric_name in keys.STATS_TO_METRIC.items():
-            assert stat in keys.STATS_KEYS
-            assert metrics.registry.get(metric_name) is not None, metric_name
+    def test_histogram_keys_read_the_mean(self):
+        metrics = LayerMetrics("service")
+        metrics.mean_wait_s.observe(0.001)
+        metrics.mean_wait_s.observe(0.003)
+        stats = Snapshot.from_metrics(metrics, health="degraded")
+        assert stats.mean_wait_s == pytest.approx(0.002)
+        assert stats.mean_flush_options == 0.0
+        assert stats.health == "degraded"
 
-    def test_counters_expose_zero_samples(self):
-        """A clean run still renders retries/quarantine counters as 0."""
-        text = RunMetrics().registry.render_prometheus()
-        samples = parse_prometheus(text)
-        assert samples[keys.RETRIES_TOTAL] == 0
-        assert samples[keys.QUARANTINED_OPTIONS_TOTAL] == 0
-        assert samples[keys.TIMEOUTS_TOTAL] == 0
-        assert samples[keys.GREEKS_OPTIONS_TOTAL] == 0
-        assert samples[keys.BUMP_PASSES_TOTAL] == 0
+
+class TestSnapshot:
+    def test_frozen(self):
+        stats = fresh_snapshot("stream")
+        with pytest.raises(AttributeError):
+            stats.ticks = 3
+        with pytest.raises(AttributeError):
+            stats.no_such_key
+
+    def test_pickle_round_trip_keeps_type(self):
+        stats = EngineStats.from_metrics(LayerMetrics("engine"), workers=2)
+        clone = pickle.loads(pickle.dumps(stats))
+        assert type(clone) is EngineStats
+        assert clone == stats and hash(clone) == hash(stats)
+
+    def test_layers_do_not_compare_equal(self):
+        assert fresh_snapshot("stream") != fresh_snapshot("sweep")
 
 
 class TestBenchDocumentSchema:
@@ -102,26 +220,4 @@ class TestBenchDocumentSchema:
             set_registry(previous)
         assert document["stats_schema"] == keys.STATS_SCHEMA
         run = document["results"][0]["runs"][0]
-        assert tuple(run) == keys.STATS_KEYS + ("speedup_vs_baseline",)
-
-
-class TestSweepStatsKeys:
-    def test_schema_tag(self):
-        assert keys.SWEEP_STATS_SCHEMA == "repro-sweep-stats/v8"
-
-    def test_as_dict_schema_first_then_exact_key_order(self):
-        from repro.sweep.runner import SweepStats
-
-        snapshot = SweepStats(cells=4, executed=2, done=2).as_dict()
-        assert tuple(snapshot) == ("schema",) + keys.SWEEP_STATS_KEYS
-        assert snapshot["schema"] == keys.SWEEP_STATS_SCHEMA
-        assert snapshot["cells"] == 4
-
-    def test_all_keys_snake_case(self):
-        for key in keys.SWEEP_STATS_KEYS:
-            assert re.fullmatch(r"[a-z][a-z0-9_]*", key), key
-
-    def test_stats_to_metric_targets_are_keys(self):
-        assert set(keys.SWEEP_STATS_TO_METRIC) <= set(keys.SWEEP_STATS_KEYS)
-        for metric_name in keys.SWEEP_STATS_TO_METRIC.values():
-            assert metric_name.startswith("repro_sweep_"), metric_name
+        assert tuple(run) == keys.ENGINE.names + ("speedup_vs_baseline",)

@@ -23,6 +23,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.finance import generate_batch
+from repro.obs import keys
 from repro.serve import PricingServer, ServeClient, ServeConfig
 from repro.service import PricingService, ServiceConfig
 from repro.service.health import HealthPolicy
@@ -101,10 +102,34 @@ class TestPricingOverTheWire:
         client.price(PricingRequest(options=tuple(small_batch),
                                     steps=STEPS))
         document = client.stats()
-        assert document["schema"] == "repro-serve-stats/v6"
-        assert document["requests"] >= 1
-        assert document["shm_results"] + document["pickle_results"] >= 1
+        assert tuple(document) == ("schema", "serve", "shards")
+        assert document["schema"] == keys.STATS_SCHEMA
+        serve = document["serve"]
+        assert tuple(serve) == keys.SERVE.names
+        assert serve["requests"] >= 1
+        assert serve["shm_results"] + serve["pickle_results"] >= 1
+        assert serve["shards"] == 2
         assert len(document["shards"]) == 2
+        for shard in document["shards"]:
+            assert tuple(shard) == keys.SERVICE.names
+
+    def test_stats_sections_keep_in_process_types(self, server, client,
+                                                   small_batch):
+        """``GET /stats`` carries each layer's snapshot unchanged: no
+        key differs in type from that layer's in-process snapshot."""
+        request = PricingRequest(options=tuple(small_batch), steps=STEPS)
+        client.price(request)
+        with PricingService(ServiceConfig()) as service:
+            service.submit(request).result()
+            in_process = {"serve": server.stats().as_dict(),
+                          "shards": service.stats().as_dict()}
+        document = client.stats()
+        assert type(document["schema"]) is str
+        for key, value in document["serve"].items():
+            assert type(value) is type(in_process["serve"][key]), key
+        for shard in document["shards"]:
+            for key, value in shard.items():
+                assert type(value) is type(in_process["shards"][key]), key
 
     def test_malformed_json_is_bad_request(self, server, client):
         import http.client
@@ -256,7 +281,8 @@ class TestDeadlinePriorityCancel:
             raw.close()
             with ServeClient(server.host, server.port) as client:
                 assert wait_until(
-                    lambda: client.stats()["cancelled"] >= 1, timeout_s=30)
+                    lambda: client.stats()["serve"]["cancelled"] >= 1,
+                    timeout_s=30)
                 # the tier keeps serving afterwards
                 survivor = client.price(request)
             assert survivor.prices.shape == (2,)
@@ -299,7 +325,7 @@ class TestShardFailureIsolation:
                 assert sibling.prices.shape == (2,)
                 # the supervisor detects the missed pongs and restarts
                 assert wait_until(
-                    lambda: client.stats()["shard_restarts"] >= 1,
+                    lambda: client.stats()["serve"]["shard_restarts"] >= 1,
                     timeout_s=60)
                 # the restarted shard serves its keys again
                 revived = client.price(by_shard[0])
@@ -312,7 +338,7 @@ class TestShardFailureIsolation:
                 client.price(by_shard[0])
                 server._shards[0]._process.kill()
                 assert wait_until(
-                    lambda: client.stats()["shard_restarts"] >= 1,
+                    lambda: client.stats()["serve"]["shard_restarts"] >= 1,
                     timeout_s=60)
                 revived = client.price(by_shard[0])
             assert revived.prices.shape == (2,)

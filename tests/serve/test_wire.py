@@ -25,6 +25,7 @@ from repro.api import (
     price,
 )
 from repro.engine.reliability import FailureRecord
+from repro.engine.stats import EngineStats
 from repro.errors import (
     CANCELLED_HTTP_STATUS,
     CANCELLED_WIRE_CODE,
@@ -118,7 +119,15 @@ class TestResultRoundTrip:
         assert isinstance(rebuilt, PriceResult)
         np.testing.assert_array_equal(rebuilt.prices, result.prices)
         assert rebuilt.route == result.route
-        assert rebuilt.stats.options == result.stats.options
+        assert isinstance(rebuilt.stats, EngineStats)
+        assert rebuilt.stats == result.stats
+        # a key this build does not declare (fused_greeks left the
+        # engine stats in v10) is dropped, not an error
+        data = result.to_dict()
+        data["stats"]["fused_greeks"] = True
+        rebuilt = BatchResult.from_dict(json.loads(json.dumps(data)))
+        assert rebuilt.stats == result.stats
+        assert "fused_greeks" not in rebuilt.stats.as_dict()
 
     def test_greeks_result_bitwise(self, small_batch):
         result = greeks(small_batch, steps=STEPS)

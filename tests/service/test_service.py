@@ -15,7 +15,8 @@ from repro.errors import (
 )
 from repro.finance import ExerciseStyle, Option, OptionType, generate_batch
 from repro.obs import keys as obs_keys
-from repro.service import PricingService, ServiceConfig, ServiceStats
+from repro.obs.metrics import Snapshot
+from repro.service import PricingService, ServiceConfig
 
 STEPS = 16
 KERNEL = "iv_b"
@@ -122,7 +123,6 @@ class TestCache:
         assert np.array_equal(cold.prices, direct_prices)
         assert np.array_equal(hit.prices, direct_prices)
         assert stats.cache_hits == 1 and stats.cache_misses == 1
-        assert stats.cache_hit_rate == 0.5
         assert stats.cache_bytes > 0
 
     def test_cached_arrays_are_read_only(self, batch):
@@ -280,18 +280,7 @@ class TestLifecycle:
         second = service.close()
         assert service.closed
         assert first is second is service.stats()
-
-    def test_stats_schema_is_stable(self, batch):
-        with PricingService(ServiceConfig(max_wait_ms=1.0)) as service:
-            request = PricingRequest(options=batch, steps=STEPS,
-                                     kernel=KERNEL)
-            service.submit(request).result(timeout=WAIT)
-            stats = service.close()
-        snapshot = stats.as_dict()
-        assert tuple(snapshot) == obs_keys.SERVICE_STATS_KEYS
-        assert obs_keys.SERVICE_STATS_SCHEMA == "repro-service-stats/v5"
-        assert snapshot["requests"] == 1 and snapshot["options"] == len(batch)
-        assert "requests=1" in stats.describe()
+        assert first.requests == 1 and first.options == len(batch)
 
     def test_close_publishes_into_the_process_registry(self, batch):
         from repro.obs import get_registry
@@ -304,15 +293,15 @@ class TestLifecycle:
                                          kernel=KERNEL)
                 service.submit(request).result(timeout=WAIT)
             published = get_registry().value(
-                obs_keys.SERVICE_REQUESTS_TOTAL)
+                obs_keys.SERVICE.metric("requests"))
         finally:
             set_registry(previous)
         assert published == 1
 
     def test_empty_stats_are_all_zero(self):
         stats = PricingService().close()
-        assert stats == ServiceStats()
-        assert stats.cache_hit_rate == 0.0
+        assert stats == Snapshot.from_dict("service", {})
+        assert stats.requests == 0 and stats.health == "healthy"
 
     @pytest.mark.parametrize("kwargs", [
         {"max_batch": 0},

@@ -7,7 +7,6 @@ import pytest
 from repro.engine.faults import FaultPlan
 from repro.errors import StreamError
 from repro.finance import generate_batch
-from repro.obs import keys as obs_keys
 from repro.service import PricingService, ServiceConfig
 from repro.stream import (
     AGGREGATE_COLUMNS,
@@ -236,22 +235,6 @@ class TestToleranceGating:
 
 
 class TestStreamStats:
-    def test_schema_tag(self):
-        assert obs_keys.STREAM_STATS_SCHEMA == "repro-stream-stats/v7"
-
-    def test_as_dict_schema_then_keys_in_order(self):
-        _book_, runner = _run()
-        snapshot = runner.stats().as_dict()
-        assert tuple(snapshot) == ("schema",) + obs_keys.STREAM_STATS_KEYS
-        assert snapshot["schema"] == obs_keys.STREAM_STATS_SCHEMA
-
-    def test_stats_to_metric_targets_exist(self):
-        from repro.stream import StreamMetrics
-        metrics = StreamMetrics()
-        for stat, metric in obs_keys.STREAM_STATS_TO_METRIC.items():
-            assert stat in obs_keys.STREAM_STATS_KEYS
-            assert metrics.registry.get(metric) is not None, metric
-
     def test_counters_reconcile(self):
         _book_, runner = _run()
         stats = runner.stats()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SweepError
 from repro.sweep import RunStore, SweepRunner, SweepSpec
-from repro.sweep.runner import SweepStats
+from repro.obs.metrics import Snapshot
 
 #: The transient-fault seeds the service/serve suites pin (faults must
 #: heal with bitwise parity; the sweep layer inherits that contract).
@@ -25,7 +25,7 @@ class TestExecution:
     def test_full_grid_runs_to_done(self, tmp_path):
         spec = tiny_spec()
         stats = SweepRunner(spec, tmp_path / "run.jsonl").run()
-        assert isinstance(stats, SweepStats)
+        assert isinstance(stats, Snapshot) and stats.layer == "sweep"
         assert stats.cells == 4
         assert stats.executed == stats.done == 4
         assert stats.failed == 0

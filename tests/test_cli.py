@@ -211,7 +211,7 @@ class TestCommands:
         assert "fault seed 101" in out
         document = json.loads(out_path.read_text())
         assert document["schema"] == "repro-service-bench/v2"
-        assert document["stats_schema"] == "repro-service-stats/v5"
+        assert document["stats_schema"] == "repro-stats/v11"
         entry = document["results"][0]
         assert entry["parity"]["bit_identical_to_direct"] is True
         assert entry["overload"]["loss_threshold"] == 0.01
@@ -267,7 +267,7 @@ class TestCommands:
         assert "revaluations/s" in out
         document = json.loads(out_path.read_text())
         assert document["schema"] == "repro-stream-bench/v1"
-        assert document["stats_schema"] == "repro-stream-stats/v7"
+        assert document["stats_schema"] == "repro-stats/v11"
         entry = document["results"][0]
         assert entry["parity"]["bitwise"] is True
         assert entry["parity"]["replay"] is True
@@ -276,7 +276,8 @@ class TestCommands:
         assert run["options_per_second"] > 0.0
         assert run["latency"]["p999_ms"] >= run["latency"]["p99_ms"] \
             >= run["latency"]["p50_ms"] > 0.0
-        assert run["stream"]["schema"] == "repro-stream-stats/v7"
+        assert "schema" not in run["stream"]
+        assert run["stream"]["revaluations"] > 0
         assert entry["tolerance"]["suppressed_ticks"] >= 0
 
     def test_stream_bench_regression_gate(self, capsys, tmp_path):

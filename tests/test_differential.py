@@ -7,8 +7,11 @@ in-process :class:`~repro.service.PricingService` and a one-shard
 :class:`~repro.serve.PricingServer` over HTTP.  Every column of every
 result must equal a plain NumPy-backend :class:`PricingEngine` run of
 the request bit for bit, with and without a seeded fault plan whose
-transient faults heal on retry.
+transient faults heal on retry.  A one-cell sweep is held to the same
+contract through the digest its store records.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +21,12 @@ from repro.api import PricingRequest
 from repro.engine import EngineConfig, PricingEngine
 from repro.engine.faults import FaultPlan
 from repro.finance import generate_batch
+from repro.obs import keys
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serve import PricingServer, ServeClient, ServeConfig
 from repro.service import PricingService, ServiceConfig
+from repro.sweep import SweepRunner, SweepSpec
+from repro.sweep.runner import _cell_options, _digest_result
 
 STEPS = 32
 OPTIONS_PER_REQUEST = 6
@@ -122,3 +129,41 @@ def test_every_front_end_matches_the_engine(fronts, numpy_reference,
             np.testing.assert_array_equal(
                 getattr(result, column), values,
                 err_msg=f"{front}/{kernel}/{task}/{column}")
+
+
+#: Sweep cells draw their fault plan over 64 option slots; seed 101
+#: puts its one-attempt faults at indices 14 and 33, so the cell needs
+#: more options than that for them to fire.
+SWEEP_CELL_OPTIONS = 40
+
+
+@pytest.mark.parametrize("fault_seed", (None, 101),
+                         ids=lambda seed: f"faults-{seed}")
+def test_sweep_cell_matches_the_engine(tmp_path, numpy_reference,
+                                       fault_seed):
+    spec = SweepSpec(name="differential-cell",
+                     axes={"kernel": ("iv_a",)},
+                     base={"steps": STEPS, "task": "greeks",
+                           "n_options": SWEEP_CELL_OPTIONS,
+                           "fault_seed": fault_seed})
+    (condition,) = spec.conditions()
+    runner = SweepRunner(spec, tmp_path / "run.jsonl")
+    published = MetricsRegistry()
+    previous = set_registry(published)
+    try:
+        stats = runner.run()
+    finally:
+        set_registry(previous)
+    assert (stats.cells, stats.executed, stats.done, stats.failed) == (
+        1, 1, 1, 0)
+    assert published.value(keys.SWEEP.metric("done")) == 1
+    retries = published.value(keys.ENGINE.metric("retries"))
+    assert (retries > 0) == (fault_seed is not None)
+
+    (row,) = runner.store.latest().values()
+    assert row.status == "done" and not row.result["failures"]
+    expected = numpy_reference(PricingRequest(
+        options=tuple(_cell_options(condition)), steps=condition["steps"],
+        kernel=condition["kernel"], task=condition["task"], strict=False))
+    assert row.result["prices_blake2b"] == _digest_result(
+        SimpleNamespace(**expected))
