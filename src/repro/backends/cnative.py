@@ -21,11 +21,25 @@ compares false, so the intrinsic branch wins, exactly like the NumPy
 sequence).  Level capture widens through an explicit ``(double)``
 cast, matching ``.astype(np.float64)``.
 
+Host ISA.  The kernel is built with ``-march=native`` and its scratch
+vectors are ``restrict``-qualified, so the compiler vectorises the
+level loop at the host's full vector width (AVX-512 where present)
+without runtime alias checks.  That keeps results bitwise: a wider
+vector still applies the same IEEE operations to each element in the
+same order, and the host's FMA units stay unused because
+``-ffp-contract=off`` forbids fusing the multiply-add.  If the
+compiler rejects the target flag, the kernel is rebuilt with the
+portable flags alone and one :class:`RuntimeWarning` per compiler says
+so; the numbers are the same either way, only slower.
+
 The shared object is generated, compiled with the system ``cc``
 (overridable via ``REPRO_CC`` or ``CC`` — an explicit override wins
 outright, and a broken one fails the backend rather than silently
-picking a different compiler) and cached on disk keyed by the source
-hash, so every process after the first loads it in milliseconds;
+picking a different compiler) and cached on disk.  The cache key
+covers the source text, the full flag list, the compiler's
+``--version`` line and the ISA the target flag resolves to, so a
+build for one host is never loaded on another.  Every process after
+the first loads it in milliseconds;
 :attr:`CNativeBackend.compile_seconds` reports whatever this process
 actually paid.
 """
@@ -38,6 +52,7 @@ import os
 import subprocess
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -46,8 +61,15 @@ from .base import KernelBackend
 
 __all__ = ["CNativeBackend", "kernel_source"]
 
-#: Bump when the generated C changes — keys the on-disk .so cache.
-_SOURCE_VERSION = 1
+#: Flags every build uses.  -ffp-contract=off: no FMA contraction,
+#: the bitwise-parity precondition.  No -ffast-math, ever.
+_PORTABLE_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: Appended when the compiler accepts it; dropped (with one warning
+#: per compiler) when it does not.
+_TARGET_FLAG = "-march=native"
+
+_target_fallbacks_warned: "set[str]" = set()
 
 _KERNEL_TEMPLATE = """
 /* Fused binomial backward induction over one batch of options.
@@ -63,7 +85,8 @@ void roll_{tag}(const long n, const long steps, const long ls_stride,
                 const {ctype} *leaf_s, const {ctype} *leaf_v,
                 const {ctype} *pulldown, const {ctype} *rp,
                 const {ctype} *rq, const {ctype} *strike,
-                const {ctype} *sign, {ctype} *s, {ctype} *v,
+                const {ctype} *sign, {ctype} *restrict s,
+                {ctype} *restrict v,
                 double *prices, double *level1, double *level2,
                 const int capture)
 {{
@@ -106,7 +129,7 @@ void roll_{tag}(const long n, const long steps, const long ls_stride,
 
 def kernel_source() -> str:
     """The complete C translation unit (one kernel per dtype)."""
-    parts = [f"/* repro cnative kernel, source version {_SOURCE_VERSION} */"]
+    parts = ["/* repro cnative kernel */"]
     for tag, ctype in (("f64", "double"), ("f32", "float")):
         parts.append(_KERNEL_TEMPLATE.format(tag=tag, ctype=ctype))
     return "\n".join(parts)
@@ -139,23 +162,56 @@ def _compiler() -> "str | None":
     return None
 
 
-def _build_library(source: str) -> str:
-    """Compile ``source`` to a cached .so; returns its path.
+def _run_compiler(compiler: str, args) -> subprocess.CompletedProcess:
+    try:
+        return subprocess.run([compiler, *args], capture_output=True,
+                              text=True)
+    except OSError as exc:
+        raise BackendUnavailableError(
+            f"cnative compiler {compiler!r} could not run: {exc}") from exc
 
-    The object is keyed by the source hash so a source change never
-    reuses a stale binary; the build lands in a temp file first and is
-    published with an atomic rename, making concurrent builders safe.
+
+def _resolved_target(compiler: str, flags) -> "str | None":
+    """The ISA ``flags`` resolve to, or ``None`` if the driver rejects them.
+
+    Asks the driver (``-###``, which compiles nothing) what it would
+    hand the compiler proper: gcc expands ``-march=native`` into
+    ``-march=<cpu>`` plus one ``-m`` switch per ISA extension, clang
+    into ``-target-cpu``/``-target-feature`` pairs.  Only those words
+    are kept, so the key does not depend on paths or the working
+    directory.
     """
-    digest = hashlib.blake2b(source.encode("utf-8"),
+    proc = _run_compiler(compiler, [*flags, "-###", "-E", "-x", "c",
+                                    os.devnull])
+    if proc.returncode != 0:
+        return None
+    words = [word.strip("'\"") for word in proc.stderr.split()]
+    return " ".join(
+        word for previous, word in zip([""] + words, words)
+        if word.startswith("-m")
+        or previous in ("Target:", "-target-cpu", "-target-feature"))
+
+
+def _compile(compiler: str, version: str, source: str, flags) -> str:
+    """Compile ``source`` with ``flags`` to a cached .so; returns its path.
+
+    The object is keyed by the source, the flags, the compiler version
+    and the resolved target, so neither a source change nor a
+    different host ever reuses a stale binary; the build lands in a
+    temp file first and is published with an atomic rename, making
+    concurrent builders safe.
+    """
+    target = _resolved_target(compiler, flags)
+    if target is None:
+        raise BackendUnavailableError(
+            f"cnative compiler {compiler!r} rejects {' '.join(flags)}")
+    key = "\0".join((source, *flags, version, target))
+    digest = hashlib.blake2b(key.encode("utf-8"),
                              digest_size=16).hexdigest()
     directory = _cache_dir()
     library = os.path.join(directory, f"kernels-{digest}.so")
     if os.path.exists(library):
         return library
-    compiler = _compiler()
-    if compiler is None:
-        raise BackendUnavailableError(
-            "cnative backend needs a C compiler (cc/gcc/clang) on PATH")
     os.makedirs(directory, exist_ok=True)
     c_path = os.path.join(directory, f"kernels-{digest}.c")
     with open(c_path, "w", encoding="utf-8") as handle:
@@ -163,23 +219,49 @@ def _build_library(source: str) -> str:
     scratch = tempfile.NamedTemporaryFile(
         dir=directory, suffix=".so", delete=False)
     scratch.close()
-    # -ffp-contract=off: no FMA contraction, the bitwise-parity
-    # precondition.  No -ffast-math, ever.
-    command = [compiler, "-O3", "-fPIC", "-shared", "-ffp-contract=off",
-               c_path, "-o", scratch.name]
+    command = [*flags, c_path, "-o", scratch.name]
     try:
-        proc = subprocess.run(command, capture_output=True, text=True)
-    except OSError as exc:
+        proc = _run_compiler(compiler, command)
+        if proc.returncode != 0:
+            raise BackendUnavailableError(
+                f"cnative kernel compilation failed "
+                f"({compiler} {' '.join(command)}):\n{proc.stderr.strip()}")
+    except BackendUnavailableError:
         os.unlink(scratch.name)
-        raise BackendUnavailableError(
-            f"cnative compiler {compiler!r} could not run: {exc}") from exc
-    if proc.returncode != 0:
-        os.unlink(scratch.name)
-        raise BackendUnavailableError(
-            f"cnative kernel compilation failed "
-            f"({' '.join(command)}):\n{proc.stderr.strip()}")
+        raise
     os.replace(scratch.name, library)
     return library
+
+
+def _build_library(source: str) -> str:
+    """Build (or find cached) ``source`` for this host; returns the path.
+
+    Tries the host-tuned flags first; a compiler that rejects the
+    target flag gets the portable flags and one warning.  A compiler
+    that cannot even report its version fails the backend outright.
+    """
+    compiler = _compiler()
+    if compiler is None:
+        raise BackendUnavailableError(
+            "cnative backend needs a C compiler (cc/gcc/clang) on PATH")
+    proc = _run_compiler(compiler, ["--version"])
+    if proc.returncode != 0 or not proc.stdout.strip():
+        raise BackendUnavailableError(
+            f"cnative compiler {compiler!r} failed to report its version:"
+            f"\n{proc.stderr.strip()}")
+    version = proc.stdout.splitlines()[0].strip()
+    try:
+        return _compile(compiler, version, source,
+                        (*_PORTABLE_FLAGS, _TARGET_FLAG))
+    except BackendUnavailableError as exc:
+        rejected = exc
+    if compiler not in _target_fallbacks_warned:
+        _target_fallbacks_warned.add(compiler)
+        warnings.warn(
+            f"cnative: {_TARGET_FLAG} failed ({rejected}); building with "
+            f"the portable flags {' '.join(_PORTABLE_FLAGS)} instead",
+            RuntimeWarning, stacklevel=2)
+    return _compile(compiler, version, source, _PORTABLE_FLAGS)
 
 
 class CNativeBackend(KernelBackend):

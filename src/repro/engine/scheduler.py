@@ -30,10 +30,11 @@ from typing import Sequence
 
 import numpy as np
 
+from ..backends import get_backend
 from ..core.batch_sim import simulate_kernel_a_batch, simulate_kernel_b_batch
 from ..core.faithful_math import get_profile
 from ..errors import ReproError
-from ..finance.binomial import price_binomial
+from ..finance.binomial import price_binomial, reference_leaves
 from ..finance.greeks import greeks_from_levels, tree_value_levels
 from ..finance.lattice import LatticeFamily, build_lattice_arrays
 from ..finance.options import Option, option_arrays
@@ -41,10 +42,11 @@ from .workspace import Workspace, kernel_tile_bytes
 
 __all__ = ["Chunk", "KERNELS", "TASKS", "chunk_width",
            "greeks_fused_chunk", "group_stream", "plan_chunks",
-           "price_chunk", "split_chunk"]
+           "price_chunk", "reference_chunk", "split_chunk"]
 
 #: Kernels the engine can schedule: the two paper accelerators plus
-#: the reference software pricer (per-option backward induction).
+#: the reference software pricer (the paper's single-core C baseline;
+#: its American options roll on the engine's backend).
 KERNELS = ("iv_a", "iv_b", "reference")
 
 #: Work a chunk can carry: ``"price"`` produces one root value per
@@ -269,6 +271,42 @@ def greeks_fused_chunk(
     return np.column_stack((prices[:n], delta, gamma, theta, vega, rho))
 
 
+def reference_chunk(
+    options: Sequence[Option],
+    steps: int,
+    family: LatticeFamily,
+    dtype,
+    workspace: "Workspace | None" = None,
+    backend=None,
+) -> np.ndarray:
+    """The reference pricer over one chunk, bit-identical to
+    :func:`~repro.finance.binomial.price_binomial` per option.
+
+    American options share one leaf build
+    (:func:`~repro.finance.binomial.reference_leaves`) and one
+    ``backend.roll_levels`` call — ``None`` pins the NumPy backend.
+    European options keep :func:`price_binomial`, because the roll
+    always applies the exercise compare.
+    """
+    prices = np.empty(len(options), dtype=np.float64)
+    american = [i for i, o in enumerate(options) if o.is_american]
+    if american:
+        if backend is None:
+            backend = get_backend("numpy")
+        leaves = reference_leaves([options[i] for i in american], steps,
+                                  family, dtype)
+        rolled, _, _ = backend.roll_levels(
+            leaves.leaf_s, leaves.leaf_v, leaves.pulldown, leaves.rp,
+            leaves.rq, leaves.strike, leaves.sign, steps,
+            workspace=workspace)
+        prices[american] = rolled
+    for i, option in enumerate(options):
+        if not option.is_american:
+            prices[i] = price_binomial(option, steps, family,
+                                       dtype=dtype).price
+    return prices
+
+
 def price_chunk(
     kernel: str,
     options: Sequence[Option],
@@ -328,11 +366,8 @@ def price_chunk(
         prices = simulate_kernel_a_batch(options, steps, profile, family,
                                          workspace=workspace, backend=backend)
     elif kernel == "reference":
-        prices = np.array(
-            [price_binomial(o, steps, family, dtype=profile.dtype).price
-             for o in options],
-            dtype=np.float64,
-        )
+        prices = reference_chunk(options, steps, family, profile.dtype,
+                                 workspace=workspace, backend=backend)
     else:
         raise ReproError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     if faults is not None and indices is not None:

@@ -23,6 +23,7 @@ Table II reports a single-precision software reference row whose RMSE
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +33,9 @@ from .options import Option
 
 __all__ = [
     "PricingResult",
+    "ReferenceLeaves",
     "price_binomial",
+    "reference_leaves",
     "price_binomial_scalar",
     "exercise_boundary",
 ]
@@ -58,6 +61,71 @@ def _validate_steps(steps: int) -> None:
         raise FinanceError(f"steps must be >= 1, got {steps}")
 
 
+class ReferenceLeaves(NamedTuple):
+    """Leaf rows and Equation (1) constants of the reference pricer.
+
+    ``leaf_s``/``leaf_v`` are option-major ``(n, steps + 1)`` asset
+    prices and payoffs; ``pulldown``, ``rp``, ``rq``, ``strike`` and
+    ``sign`` are ``(n, 1)`` columns.  Every array is in the working
+    dtype, ready for :meth:`repro.backends.KernelBackend.roll_levels`.
+    """
+
+    params: "tuple[LatticeParams, ...]"
+    leaf_s: np.ndarray
+    leaf_v: np.ndarray
+    pulldown: np.ndarray
+    rp: np.ndarray
+    rq: np.ndarray
+    strike: np.ndarray
+    sign: np.ndarray
+
+
+def reference_leaves(
+    options: Sequence[Option],
+    steps: int,
+    family: LatticeFamily = LatticeFamily.CRR,
+    dtype=np.float64,
+) -> ReferenceLeaves:
+    """Build the reference pricer's leaves for a batch of options.
+
+    Lattice constants come from the scalar :func:`build_lattice_params`
+    (``math.exp``, not NumPy's vector ``exp``) and are rounded once
+    into ``dtype``; the leaves are ``S = spot * u**(N-k) * d**k`` and
+    ``V = max(sign * (S - K), 0)``, each option's row computed by the
+    same ufuncs in the same order whatever the batch size.  This is
+    the one leaf builder behind :func:`price_binomial` and the
+    engine's ``reference`` kernel, which is what makes the two
+    bit-identical.
+    """
+    _validate_steps(steps)
+    dtype = np.dtype(dtype)
+    params = tuple(build_lattice_params(o, steps, family) for o in options)
+
+    def column(values) -> np.ndarray:
+        return np.array(list(values), dtype=dtype).reshape(-1, 1)
+
+    spot = column(o.spot for o in options)
+    up = column(p.up for p in params)
+    down = column(p.down for p in params)
+    strike = column(o.strike for o in options)
+    sign = column(o.option_type.sign for o in options)
+
+    # Leaf asset prices S[N, k] for k = 0..N (k = down moves).
+    k = np.arange(steps + 1, dtype=dtype)
+    leaf_s = spot * up ** (dtype.type(steps) - k) * down**k
+    leaf_v = np.maximum(sign * (leaf_s - strike), dtype.type(0.0))
+    return ReferenceLeaves(
+        params=params,
+        leaf_s=leaf_s,
+        leaf_v=leaf_v,
+        pulldown=column(p.pulldown for p in params),
+        rp=column(p.discounted_p_up for p in params),
+        rq=column(p.discounted_p_down for p in params),
+        strike=strike,
+        sign=sign,
+    )
+
+
 def price_binomial(
     option: Option,
     steps: int = 1024,
@@ -77,23 +145,13 @@ def price_binomial(
         single-precision rows use the latter.
     :returns: :class:`PricingResult` with the root value.
     """
-    _validate_steps(steps)
-    params = build_lattice_params(option, steps, family)
-    dtype = np.dtype(dtype)
-
-    up = dtype.type(params.up)
-    down = dtype.type(params.down)
-    pulldown = dtype.type(params.pulldown)
-    rp = dtype.type(params.discounted_p_up)
-    rq = dtype.type(params.discounted_p_down)
-    strike = dtype.type(option.strike)
-    sign = dtype.type(option.option_type.sign)
-
-    # Leaf asset prices S[N, k] for k = 0..N (k = down moves).
-    k = np.arange(steps + 1, dtype=dtype)
-    spot = dtype.type(option.spot)
-    prices = spot * up ** (dtype.type(steps) - k) * down**k
-    values = np.maximum(sign * (prices - strike), dtype.type(0.0))
+    leaves = reference_leaves((option,), steps, family, dtype)
+    params = leaves.params[0]
+    prices = leaves.leaf_s[0]
+    values = leaves.leaf_v[0]
+    pulldown, rp, rq, strike, sign = (
+        column[0, 0] for column in (leaves.pulldown, leaves.rp, leaves.rq,
+                                    leaves.strike, leaves.sign))
 
     american = option.is_american
     for t in range(steps - 1, -1, -1):

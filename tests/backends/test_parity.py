@@ -22,7 +22,10 @@ from repro.core.batch_sim import (
     simulate_kernel_b_batch,
 )
 from repro.core.faithful_math import EXACT_DOUBLE, EXACT_SINGLE
-from repro.finance import ExerciseStyle, generate_batch
+from repro.engine.scheduler import reference_chunk
+from repro.engine.workspace import Workspace
+from repro.finance import (ExerciseStyle, OptionType, generate_batch,
+                           price_binomial)
 from repro.finance.lattice import LatticeFamily
 
 requires_cnative = pytest.mark.skipif(
@@ -50,6 +53,21 @@ DEPTHS = (8, 64, 512)
 def batch_for(exercise: ExerciseStyle):
     return list(generate_batch(n_options=12, seed=1402,
                                exercise=exercise).options)
+
+
+def puts_and_calls(exercise: ExerciseStyle):
+    return [option for kind in (OptionType.PUT, OptionType.CALL)
+            for option in generate_batch(n_options=6, seed=1402,
+                                         exercise=exercise,
+                                         option_type=kind).options]
+
+
+def assert_same_bits(actual, expected):
+    """Equal bit patterns: unlike ``assert_array_equal``, +0 != -0."""
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    np.testing.assert_array_equal(actual.view(np.uint64),
+                                  expected.view(np.uint64))
 
 
 @requires_cnative
@@ -86,6 +104,52 @@ class TestPriceParity:
                       capture_levels=True, backend=get_backend("cnative"))
         for name, a, b in zip(("prices", "level1", "level2"), cn, ref):
             np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+@requires_cnative
+class TestReferenceParity:
+    """The ``reference`` kernel rolls American options on the engine
+    backend; every backend must still return, bit for bit, what
+    per-option :func:`price_binomial` returns — the tests' reference
+    pricer."""
+
+    @pytest.mark.parametrize("family", tuple(LatticeFamily),
+                             ids=lambda f: f.value)
+    @pytest.mark.parametrize("exercise", (ExerciseStyle.EUROPEAN,
+                                          ExerciseStyle.AMERICAN))
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32),
+                             ids=("f64", "f32"))
+    @pytest.mark.parametrize("steps", (3, 64, 1024))
+    def test_chunk_bitwise_equals_price_binomial(self, family, exercise,
+                                                 dtype, steps):
+        batch = puts_and_calls(exercise)
+        expected = [price_binomial(o, steps, family, dtype=dtype).price
+                    for o in batch]
+        for backend in ("numpy", "cnative"):
+            prices = reference_chunk(batch, steps, family, dtype,
+                                     workspace=Workspace(),
+                                     backend=get_backend(backend))
+            assert_same_bits(prices, expected)
+
+    @pytest.mark.parametrize("seed", (101, 202, 303))
+    def test_engine_run_under_faults_bitwise_equals_price_binomial(
+            self, seed):
+        from repro.engine import EngineConfig, PricingEngine
+        from repro.engine.faults import FaultPlan
+
+        batch = (puts_and_calls(ExerciseStyle.AMERICAN)
+                 + puts_and_calls(ExerciseStyle.EUROPEAN))
+        expected = [price_binomial(o, 64).price for o in batch]
+        for backend in ("numpy", "cnative"):
+            config = EngineConfig(backend=backend, chunk_options=5,
+                                  backoff_base_s=0.0)
+            with PricingEngine(kernel="reference", config=config,
+                               faults=FaultPlan.random(seed, len(batch))
+                               ) as eng:
+                result = eng.run(batch, 64)
+            assert result.failures == ()
+            assert result.stats.retries > 0
+            assert_same_bits(result.prices, expected)
 
 
 @requires_cnative

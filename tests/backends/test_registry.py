@@ -199,3 +199,63 @@ class TestAutoFallbackHardening:
         pristine_registry._failures.clear()
         with pytest.warns(RuntimeWarning):
             assert resolve_backend("auto").name == "numpy"
+
+
+class TestTargetFlagFallback:
+    """A compiler that rejects ``-march=native`` still yields a working
+    ``cnative`` backend: it is rebuilt with the portable flags, says so
+    once, and prices the same bits as the NumPy backend."""
+
+    def test_rejected_target_flag_builds_portable(
+            self, monkeypatch, pristine_registry, tmp_path):
+        from repro.backends import cnative
+        from repro.core.batch_sim import simulate_kernel_b_batch
+        from repro.engine.scheduler import reference_chunk
+        from repro.finance.lattice import LatticeFamily
+
+        monkeypatch.delenv("REPRO_CC", raising=False)
+        monkeypatch.delenv("CC", raising=False)
+        real = cnative._compiler()
+        if real is None:
+            pytest.skip("no C toolchain for the cnative backend")
+        calls = tmp_path / "calls.log"
+        wrapper = tmp_path / "cc-portable-only"
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            f'echo "$@" >> "{calls}"\n'
+            'for arg in "$@"; do\n'
+            '  if [ "$arg" = "-march=native" ]; then\n'
+            '    echo "error: unsupported -march=native" >&2; exit 1\n'
+            "  fi\n"
+            "done\n"
+            f'exec "{real}" "$@"\n')
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(wrapper))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            backend = cnative.CNativeBackend()
+            cnative.CNativeBackend()  # cached portable build, no new warning
+        fallbacks = [w for w in caught if "-march=native" in str(w.message)]
+        assert len(fallbacks) == 1
+        assert fallbacks[0].category is RuntimeWarning
+
+        builds = [line.split() for line in calls.read_text().splitlines()
+                  if " -o " in line]
+        assert len(builds) == 1
+        assert "-march=native" not in builds[0]
+        assert {"-O3", "-fPIC", "-shared",
+                "-ffp-contract=off"} <= set(builds[0])
+
+        options = list(generate_batch(n_options=6, seed=5).options)
+        numpy_backend = get_backend("numpy")
+        np.testing.assert_array_equal(
+            simulate_kernel_b_batch(options, STEPS, backend=backend)
+            .view(np.uint64),
+            simulate_kernel_b_batch(options, STEPS, backend=numpy_backend)
+            .view(np.uint64))
+        np.testing.assert_array_equal(
+            reference_chunk(options, STEPS, LatticeFamily.TIAN, np.float32,
+                            backend=backend).view(np.uint64),
+            reference_chunk(options, STEPS, LatticeFamily.TIAN, np.float32,
+                            backend=numpy_backend).view(np.uint64))

@@ -64,6 +64,25 @@ class TestAccounting:
         _lease_tiles(ws, rows, steps, np.dtype(np.float64))
         assert ws.nbytes == kernel_tile_bytes(rows, steps, np.dtype(np.float64))
 
+    def test_reference_chunk_leases_the_planned_tiles(self):
+        """The reference kernel's American roll leases the same
+        time-major tiles on the numpy backend, so the planner's budget
+        covers it exactly like IV.A's."""
+        from repro.backends import get_backend
+        from repro.engine.scheduler import reference_chunk
+        from repro.finance import ExerciseStyle, generate_batch
+        from repro.finance.lattice import LatticeFamily
+
+        rows, steps = 7, 12
+        options = list(generate_batch(n_options=rows, seed=3,
+                                      exercise=ExerciseStyle.AMERICAN)
+                       .options)
+        ws = Workspace()
+        reference_chunk(options, steps, LatticeFamily.CRR, np.float64,
+                        workspace=ws, backend=get_backend("numpy"))
+        assert ws.nbytes == kernel_tile_bytes(rows, steps,
+                                              np.dtype(np.float64))
+
     def test_kernel_tile_bytes_scales_linearly(self):
         one = kernel_tile_bytes(1, 1024, np.dtype(np.float64))
         many = kernel_tile_bytes(50, 1024, np.dtype(np.float64))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.api import PricingRequest
-from repro.engine.faults import FaultPlan
+from repro.engine.faults import FaultKind, FaultPlan
 from repro.errors import (
     DeadlineExceededError,
     ReproError,
@@ -201,21 +201,25 @@ class TestDeadlinePriorityCancel:
         through the network as typed errors on the shed side.
 
         The coalescer drains its queue eagerly, so the queue only
-        fills while a flush occupies the service thread: a large slow
-        request pins it, then three small ones exercise the queue-full
-        / shed paths deterministically (the ``flushes`` and
-        ``cache_misses`` counters are the admission barriers — the
-        former increments when the slow flush *starts*, the latter
-        only after a request is really queued)."""
+        fills while a flush occupies the service thread: a seeded
+        ``HANG`` fault on an option index only the slow request
+        carries pins its flush for seconds whatever the pricing speed,
+        then three small ones exercise the queue-full / shed paths
+        deterministically (the ``flushes`` and ``cache_misses``
+        counters are the admission barriers — the former increments
+        when the slow flush *starts*, the latter only after a request
+        is really queued)."""
         import threading
 
+        slow_options = tuple(generate_batch(n_options=8, seed=40).options)
+        # the small requests merge into flushes of at most 4 options,
+        # so only the slow request's flush reaches the hung index
+        hang = FaultPlan.single(len(slow_options) - 1, FaultKind.HANG,
+                                hang_s=5.0)
         config = ServeConfig(shards=1, service=ServiceConfig(
-            max_batch=2, max_wait_ms=50.0, max_queue=1))
+            max_batch=2, max_wait_ms=50.0, max_queue=1, faults=hang))
         with PricingServer(config) as server:
-            slow = PricingRequest(
-                options=tuple(generate_batch(n_options=160,
-                                             seed=40).options),
-                steps=2048)
+            slow = PricingRequest(options=slow_options, steps=STEPS)
 
             def opts(seed):
                 return tuple(generate_batch(n_options=2, seed=seed).options)
