@@ -99,6 +99,7 @@ __all__ = [
     "PRIORITIES",
     "PriceResult",
     "PricingRequest",
+    "RESULT_COLUMNS",
     "ServiceResult",
     "WIRE_REQUEST_SCHEMA",
     "WIRE_RESULT_SCHEMA",
@@ -115,6 +116,10 @@ _DEVICES = ("fpga", "gpu", "cpu")
 #: the service cache payload, the shard result transport and the
 #: streaming risk aggregates all index greeks by this tuple.
 GREEKS_COLUMNS = ("delta", "gamma", "theta", "vega", "rho")
+
+#: Every payload column a result can carry, in wire order: ``prices``
+#: (every task) then the greeks columns (``task="greeks"`` only).
+RESULT_COLUMNS = ("prices",) + GREEKS_COLUMNS
 
 #: Version tags of the wire forms produced by
 #: :meth:`PricingRequest.to_dict` and :meth:`BatchResult.to_dict` —
@@ -190,7 +195,7 @@ PRIORITIES = ("normal", "high")
 # the canonical request object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PricingRequest:
     """One pricing request — the schema every route shares.
 
@@ -446,7 +451,7 @@ class PricingRequest:
 # the unified result shapes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchResult:
     """Common shape of every pricing result, whatever the route.
 
@@ -479,9 +484,6 @@ class BatchResult:
 
     # -- wire form (the serving tier's result protocol) -----------------
 
-    #: Payload columns serialised as ``float.hex`` lists when present.
-    _WIRE_COLUMNS = ("prices",) + GREEKS_COLUMNS
-
     def to_dict(self) -> dict:
         """JSON-ready wire form, tagged :data:`WIRE_RESULT_SCHEMA`.
 
@@ -501,7 +503,7 @@ class BatchResult:
             "stats": None if self.stats is None else self.stats.as_dict(),
             "failures": [record.as_dict() for record in self.failures],
         }
-        for column in self._WIRE_COLUMNS:
+        for column in RESULT_COLUMNS:
             value = getattr(self, column, None)
             if value is not None:
                 data[column] = _array_to_hex(value)
@@ -547,7 +549,7 @@ class BatchResult:
                               for entry in data.get("failures", ())),
         }
         column_fields = {f.name for f in dc_fields(klass)}
-        for column in cls._WIRE_COLUMNS:
+        for column in RESULT_COLUMNS:
             if column in data and column in column_fields:
                 kwargs[column] = _array_from_hex(data[column])
         if issubclass(klass, ServiceResult):
@@ -560,7 +562,7 @@ class BatchResult:
             raise ReproError(f"malformed wire result: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PriceResult(BatchResult):
     """What :func:`price` returns, whatever the route.
 
@@ -574,7 +576,7 @@ class PriceResult(BatchResult):
     modeled: "AcceleratorResult | None" = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GreeksResult(BatchResult):
     """What :func:`greeks` returns: one array per sensitivity.
 
@@ -593,7 +595,7 @@ class GreeksResult(BatchResult):
     rho: np.ndarray = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceResult(BatchResult):
     """What a :class:`repro.service.PricingService` future resolves to.
 

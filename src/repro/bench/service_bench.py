@@ -513,8 +513,8 @@ def run_serve_benchmark(
     aggregate throughput.  Every network result is asserted *bitwise*
     identical to the same request through an in-process
     :class:`~repro.service.PricingService` (the shards run the same
-    service, so the wire codec and the shared-memory transport must
-    not move a single ULP — including under an injected
+    service, so the wire codec and the shard pipe must not move a
+    single ULP — including under an injected
     ``fault_seed``, whose transient faults heal on retry).  The run at
     the highest shard count also takes the open-loop saturation ramp
     (p50/p99 vs offered load).

@@ -115,16 +115,25 @@ def _assert_streams_equal(reference, candidate, label: str) -> None:
 def _run_stream(book: PositionBook, source, stream_config: StreamConfig,
                 service_config: ServiceConfig, *, tracer=None,
                 oracle_every: int = 0):
-    """One full pass; returns ``(runner, wall_s, oracle_checks)``.
+    """One full pass; returns ``(updates, stats, latencies, wall_s,
+    oracle_checks)``.
 
-    With ``oracle_every > 0`` every that-many-th published aggregate
-    (plus the final one, checked after the run) is compared bitwise
-    against :func:`full_repricing_oracle` at publication time.
+    Drives :meth:`StreamRunner.apply`/:meth:`~StreamRunner.revalue` the
+    way :meth:`StreamRunner.process` does, timing each materialised
+    tick from its arrival to the aggregate that covers it.  With
+    ``oracle_every > 0`` every that-many-th published aggregate (plus
+    the final one, checked after the run) is compared bitwise against
+    :func:`full_repricing_oracle` at publication time.
     """
     checks = 0
+    arrivals: "list[float]" = []
+    latencies: "list[float]" = []
 
-    def verify(update):
+    def publish(update):
         nonlocal checks
+        published_at = time.monotonic()
+        latencies.extend(published_at - arrival for arrival in arrivals)
+        arrivals.clear()
         if oracle_every and update.seq % oracle_every == 0:
             oracle = full_repricing_oracle(book, stream_config)
             if any(oracle[c] != update.columns[c] for c in oracle):
@@ -133,22 +142,28 @@ def _run_stream(book: PositionBook, source, stream_config: StreamConfig,
                     f"from the full-repricing oracle")
             checks += 1
 
+    updates = []
     with PricingService(service_config, tracer=tracer) as service:
-        runner = StreamRunner(book, service,
-                              config=stream_config,
-                              on_aggregate=verify if oracle_every else None)
+        runner = StreamRunner(book, service, config=stream_config,
+                              on_aggregate=publish)
         start = time.perf_counter()
-        runner.process(source)
+        for tick in source:
+            arrival = time.monotonic()
+            if runner.apply(tick) != "suppressed":
+                arrivals.append(arrival)
+            if len(arrivals) >= stream_config.batch_ticks:
+                updates.append(runner.revalue())
+        updates.append(runner.revalue())
         wall = time.perf_counter() - start
+    updates = [update for update in updates if update is not None]
     if oracle_every:
-        final = runner.published[-1]
         oracle = full_repricing_oracle(book, stream_config)
-        if any(oracle[c] != final.columns[c] for c in oracle):
+        if any(oracle[c] != updates[-1].columns[c] for c in oracle):
             raise ReproError(
                 "final streamed aggregate diverged from the "
                 "full-repricing oracle")
         checks += 1
-    return runner, wall, checks
+    return updates, runner.stats(), latencies, wall, checks
 
 
 def run_stream_benchmark(
@@ -195,43 +210,39 @@ def run_stream_benchmark(
         # -- calm run: latency + throughput + sampled oracle parity --
         book = _build_book(n_instruments, steps, seed)
         source = _tick_source(book, tick_steps, seed)
-        runner, wall, oracle_checks = _run_stream(
+        reference, stats, latencies, wall, oracle_checks = _run_stream(
             book, source, stream_config, service_config, tracer=tracer,
             oracle_every=4)
-        stats = runner.stats()
-        reference = runner.published
         if stats.revaluations == 0:
             raise ReproError("calm run produced no revaluations")
 
         # -- replay determinism: same seed, fresh book and service --
         replay_book = _build_book(n_instruments, steps, seed)
-        replay, _wall, _checks = _run_stream(
+        replay, *_ = _run_stream(
             replay_book, _tick_source(replay_book, tick_steps, seed),
             stream_config, service_config)
-        _assert_streams_equal(reference, replay.published,
-                              "replayed stream")
+        _assert_streams_equal(reference, replay, "replayed stream")
 
         # -- fault runs: transient faults must heal without a ULP --
         for fault_seed in fault_seeds:
             fault_book = _build_book(n_instruments, steps, seed)
-            faulted, _wall, _checks = _run_stream(
+            faulted, *_ = _run_stream(
                 fault_book, _tick_source(fault_book, tick_steps, seed),
                 stream_config,
                 ServiceConfig(
                     max_batch=flush_at, max_wait_ms=max_wait_ms,
                     max_queue=max(1024, 2 * n_instruments),
                     faults=FaultPlan.random(fault_seed, n_instruments)))
-            _assert_streams_equal(reference, faulted.published,
+            _assert_streams_equal(reference, faulted,
                                   f"stream under fault seed {fault_seed}")
 
         # -- tolerance phase: the suppression savings measurement --
         tolerances = {field: Tolerance(rel_tol=rel_tol)
                       for field in ("spot", "volatility", "rate")}
         gated_book = _build_book(n_instruments, steps, seed, tolerances)
-        gated, gated_wall, _checks = _run_stream(
+        _updates, gated_stats, _latencies, gated_wall, _checks = _run_stream(
             gated_book, _tick_source(gated_book, tick_steps, seed),
             stream_config, service_config)
-        gated_stats = gated.stats()
 
         reval_rate = stats.revaluations / wall
         results.append({
@@ -249,7 +260,7 @@ def run_stream_benchmark(
                 "wall_time_s": wall,
                 "options_per_second": reval_rate,
                 "ticks_per_second": stats.ticks / wall,
-                "latency": latency_summary(runner.latencies),
+                "latency": latency_summary(latencies),
                 "stream": stats.as_dict(),
             }],
             "tolerance": {

@@ -264,8 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-batch", type=int, default=256,
                        help="per-shard coalescing flush threshold "
                             "(default 256)")
-    p_run.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="per-shard coalescing deadline (default 2.0)")
+    p_run.add_argument("--max-wait-ms", type=float, default=0.0,
+                       help="how long a shard holds an under-full bucket "
+                            "open for company (default 0: flush as soon "
+                            "as the shard's queue is empty)")
     p_run.add_argument("--fault-seed", type=int, default=None,
                        help="inject FaultPlan.random(seed) transient "
                             "faults into every shard engine (testing)")
@@ -695,14 +697,11 @@ def _run_serve_network_bench(args) -> int:
          f"{clients} clients{fault_note}) -> {path}")
     entry = document["results"][0]
     for run in entry["runs"]:
-        serve = run["serve"]
-        transport = (f"{serve['shm_results']} shm / "
-                     f"{serve['pickle_results']} pickled results")
         echo(f"  shards={run['workers']}: "
              f"{run['options_per_second']:,.1f} options/s "
              f"({run['requests_per_second']:,.1f} req/s, "
              f"{run['speedup_vs_one_shard']:.2f}x one shard, "
-             f"{run['efficiency_vs_linear']:.0%} of linear, {transport})")
+             f"{run['efficiency_vs_linear']:.0%} of linear)")
         latency = run["latency"]
         echo(f"    latency: p50 {latency['p50_ms']:.2f} ms, "
              f"p99 {latency['p99_ms']:.2f} ms over "

@@ -70,7 +70,7 @@ def _coerce_enum(value, enum_cls, field):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Option:
     """Immutable description of a vanilla equity option contract.
 
@@ -164,7 +164,7 @@ class Option:
         return self.spot / self.strike
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OptionArrays:
     """Column view of a batch of contracts (one array per field).
 

@@ -13,7 +13,7 @@ The observability layer of the engine and the simulated device stack:
 * :mod:`repro.obs.export` — JSON span dumps, Prometheus files and the
   rendered text timeline of the simulated queue lanes;
 * :mod:`repro.obs.keys` — each layer's stats keys and metric families,
-  declared once under the one ``repro-stats/v11`` schema.
+  declared once under the one ``repro-stats/v12`` schema.
 
 Quick start::
 

@@ -53,9 +53,11 @@ __all__ = [
 ]
 
 #: Version tag of the one stats document (bump on any key change).
-#: v11 replaces the five per-layer tags (engine v10, service v5, serve
-#: v6, stream v7, sweep v8); ``docs/stats_schema.md`` maps them.
-STATS_SCHEMA = "repro-stats/v11"
+#: v11 replaced the five per-layer tags (engine v10, service v5, serve
+#: v6, stream v7, sweep v8); v12 drops the serve layer's
+#: ``shm_results``/``pickle_results`` with the shared-memory transport.
+#: ``docs/stats_schema.md`` maps them.
+STATS_SCHEMA = "repro-stats/v12"
 
 COUNTER = "counter"
 GAUGE = "gauge"
@@ -239,10 +241,6 @@ SERVE = Layer("serve", keys=(
              "Requests cancelled by client disconnect"),
     _counter("shard_restarts", "repro_serve_shard_restarts_total",
              "Shard worker processes replaced by the supervisor"),
-    _counter("shm_results", "repro_serve_shm_results_total",
-             "Results transported via shared memory"),
-    _counter("pickle_results", "repro_serve_pickle_results_total",
-             "Results transported via the pickle fallback"),
     _gauge("shards", "repro_serve_shards", "Configured shard slots"),
     _histogram("mean_request_s", "repro_serve_request_seconds",
                "End-to-end request latency at the server",

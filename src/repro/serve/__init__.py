@@ -6,8 +6,8 @@ front-end (:class:`PricingServer`) exposing the canonical
 over localhost, backed by shared-nothing
 :class:`~repro.service.PricingService` shards in worker processes,
 routed on :attr:`~repro.api.PricingRequest.batch_key` by a consistent
-:class:`~repro.serve.ring.HashRing` and answered over shared-memory
-result transport.  See ``docs/wire_schema.md`` for the protocol and
+:class:`~repro.serve.ring.HashRing` and answered over each shard's
+response pipe.  See ``docs/wire_schema.md`` for the protocol and
 ``docs/service.md`` for the architecture and failure modes.
 """
 

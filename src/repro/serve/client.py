@@ -107,7 +107,7 @@ class ServeClient:
         return self._exchange("GET", "/healthz")
 
     def stats(self) -> dict:
-        """The server's ``repro-stats/v11`` document: ``serve`` (this
+        """The server's ``repro-stats/v12`` document: ``serve`` (this
         server's stats) and ``shards`` (each shard's ``service`` stats,
         ``None`` for a dead slot)."""
         _status, document = self._exchange("GET", "/stats")

@@ -13,7 +13,7 @@ Endpoints::
                       error envelope; codes from repro.errors.WIRE_ERRORS)
     GET  /healthz     200 while every live shard answers pings,
                       503 once any slot is dead or wedged
-    GET  /stats       the repro-stats/v11 document: this server's
+    GET  /stats       the repro-stats/v12 document: this server's
                       ``serve`` section plus each shard's ``service``
                       section
 
@@ -89,8 +89,6 @@ class ServeConfig:
     :param service: the :class:`~repro.service.ServiceConfig` every
         shard builds its :class:`~repro.service.PricingService` from
         (defaults applied when ``None``).
-    :param use_shm: transport result columns over
-        ``multiprocessing.shared_memory`` (pickle fallback otherwise).
     :param ping_interval_s: supervisor health-ping cadence.
     :param ping_miss_limit: unanswered pings after which a live-but-
         silent shard is declared wedged and restarted.
@@ -103,7 +101,6 @@ class ServeConfig:
     shards: int = 2
     replicas: int = 64
     service: "ServiceConfig | None" = None
-    use_shm: bool = True
     ping_interval_s: float = 0.25
     ping_miss_limit: int = 20
     health: "HealthPolicy | None" = None
@@ -193,7 +190,7 @@ class PricingServer:
     :param config: :class:`ServeConfig` (defaults when ``None``).
     :param tracer: optional :class:`repro.obs.trace.Tracer`; every
         request gets one ``serve.request`` span carrying the routed
-        shard, option count, transport and wire status.
+        shard, option count and wire status.
     """
 
     def __init__(self, config: "ServeConfig | None" = None, *, tracer=None):
@@ -235,8 +232,7 @@ class PricingServer:
         policy = self.config.health or HealthPolicy()
         for index in range(self.config.shards):
             self._monitors.append(HealthMonitor(policy))
-            handle = ShardHandle(index, self._service_config,
-                                 use_shm=self.config.use_shm)
+            handle = ShardHandle(index, self._service_config)
             self._shards.append(handle.start())
         self.metrics.shards.set(float(self.config.shards))
         self._thread = threading.Thread(
@@ -263,7 +259,6 @@ class PricingServer:
         for handle in self._shards:
             if handle is not None:
                 handle.close()
-        self._fold_transport_counts()
         self.metrics.publish()
         return self.stats()
 
@@ -273,19 +268,8 @@ class PricingServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _fold_transport_counts(self) -> None:
-        shm = sum(h.shm_results for h in self._shards if h is not None)
-        pickled = sum(h.pickle_results for h in self._shards if h is not None)
-        current_shm = self.metrics.shm_results.total()
-        current_pickle = self.metrics.pickle_results.total()
-        if shm > current_shm:
-            self.metrics.shm_results.inc(shm - current_shm)
-        if pickled > current_pickle:
-            self.metrics.pickle_results.inc(pickled - current_pickle)
-
     def stats(self) -> Snapshot:
         """Current ``serve`` stats snapshot."""
-        self._fold_transport_counts()
         return Snapshot.from_metrics(self.metrics,
                                      health=self._worst_health())
 
@@ -370,9 +354,8 @@ class PricingServer:
             return
         if decision.backoff_s > 0:
             await asyncio.sleep(decision.backoff_s)
-        replacement = ShardHandle(
-            index, self._service_config, use_shm=self.config.use_shm,
-            generation=handle.generation + 1)
+        replacement = ShardHandle(index, self._service_config,
+                                  generation=handle.generation + 1)
         self._shards[index] = replacement.start()
         self.metrics.shard_restarts.inc()
 

@@ -8,16 +8,11 @@ request queue and answered over a response queue.  The parent-side
 it hides the process, the queues, the reader thread and the result
 transport.
 
-Result transport: for every submit the parent pre-creates a
-:class:`multiprocessing.shared_memory.SharedMemory` segment sized for
-the request's payload columns (``n_options * 8`` bytes per column; one
-column for ``task="price"``, six for greeks).  The shard writes the
-float64 columns straight into the segment and sends only a small
-metadata dict back over the queue — the arrays themselves never pass
-through pickle.  When the segment cannot be created (platform limits,
-``/dev/shm`` exhausted) the shard falls back to pickling the arrays
-over the response queue; both paths are counted so the split is
-observable.
+Result transport: the shard answers each submit with one message on
+the response queue that carries the result's payload columns
+(``prices``, plus the greeks columns for ``task="greeks"``) as float64
+arrays next to a small metadata dict — one pickled pipe write, no
+staging copy.
 
 Failure model: a shard that dies or stops answering pings fails its
 in-flight futures with :class:`~repro.errors.ShardCrashError` and is
@@ -28,7 +23,6 @@ siblings keep serving throughout.
 
 from __future__ import annotations
 
-import mmap
 import multiprocessing as mp
 import os
 import pickle
@@ -36,82 +30,31 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 
-import numpy as np
-
-from ..api import GREEKS_COLUMNS, PricingRequest, ServiceResult
+from ..api import RESULT_COLUMNS, PricingRequest, ServiceResult
 from ..engine.reliability import FailureRecord
 from ..engine.stats import EngineStats
 from ..errors import ShardCrashError, error_from_wire, wire_error
 
 __all__ = ["ShardHandle", "ShardTicket", "RESULT_COLUMNS"]
 
-#: Payload columns in their one wire/shm order (price results use the
-#: first; greeks results all six).
-RESULT_COLUMNS = ("prices",) + GREEKS_COLUMNS
-
-
-def _columns_for(task: str) -> "tuple[str, ...]":
-    return RESULT_COLUMNS if task == "greeks" else RESULT_COLUMNS[:1]
-
 
 # ---------------------------------------------------------------------------
 # worker-process side
 
 
-def _write_columns(result: ServiceResult, columns, shm_name: str) -> bool:
-    """Copy the result's payload columns into the named segment.
-
-    The segment is opened by mmap-ing ``/dev/shm`` directly instead of
-    attaching a ``SharedMemory`` object: on POSIX (< 3.13) merely
-    attaching registers the name with the shard's resource tracker,
-    which then fights the parent (who owns create *and* unlink) over
-    the registration — spurious leak warnings or double-unregister
-    errors at shutdown depending on pipe ordering.  The raw mmap has no
-    tracker side effects.  Platforms without ``/dev/shm`` fall back to
-    a normal attach and accept the (harmless) tracker warnings.
-    """
-    n = len(result.prices)
-    buffer = None
-    segment = None
-    try:
-        fd = os.open(f"/dev/shm/{shm_name.lstrip('/')}", os.O_RDWR)
-        try:
-            buffer = mmap.mmap(fd, os.fstat(fd).st_size)
-        finally:
-            os.close(fd)
-    except OSError:
-        try:
-            segment = shared_memory.SharedMemory(name=shm_name)
-            buffer = segment.buf
-        except (FileNotFoundError, OSError):
-            return False
-    try:
-        view = np.ndarray((len(columns), n), dtype=np.float64,
-                          buffer=buffer)
-        for row, column in enumerate(columns):
-            view[row, :] = getattr(result, column)
-        view = None
-        return True
-    finally:
-        if segment is not None:
-            segment.close()
-        elif buffer is not None:
-            buffer.close()
-
-
-def _result_meta(result: ServiceResult, columns) -> dict:
-    return {
-        "n": len(result.prices),
-        "columns": list(columns),
+def _result_message(req_id: int, result: ServiceResult) -> tuple:
+    """The one response-queue message that answers a submit."""
+    return ("result", req_id, {
         "route": result.route,
         "stats": None if result.stats is None else result.stats.as_dict(),
         "failures": [record.as_dict() for record in result.failures],
         "cache_hit": bool(result.cache_hit),
         "batch_options": int(result.batch_options),
         "wait_s": float(result.wait_s),
-    }
+        "arrays": {column: array for column in RESULT_COLUMNS
+                   if (array := getattr(result, column)) is not None},
+    })
 
 
 def shard_main(index: int, config_bytes: bytes, request_q, response_q):
@@ -130,7 +73,7 @@ def shard_main(index: int, config_bytes: bytes, request_q, response_q):
     service = PricingService(config)
     futures: "dict[int, Future]" = {}
 
-    def _respond(req_id: int, future: Future, shm_name: "str | None"):
+    def _respond(req_id: int, future: Future):
         futures.pop(req_id, None)
         if future.cancelled():
             response_q.put(("cancelled", req_id))
@@ -140,25 +83,14 @@ def shard_main(index: int, config_bytes: bytes, request_q, response_q):
             code, status = wire_error(error)
             response_q.put(("error", req_id, code, status, str(error)))
             return
-        result = future.result()
-        columns = [column for column in RESULT_COLUMNS
-                   if getattr(result, column, None) is not None]
-        meta = _result_meta(result, columns)
-        if shm_name is not None and _write_columns(result, columns, shm_name):
-            meta["transport"] = "shm"
-            response_q.put(("result", req_id, meta))
-        else:
-            meta["transport"] = "pickle"
-            meta["arrays"] = {column: np.asarray(getattr(result, column))
-                              for column in columns}
-            response_q.put(("result", req_id, meta))
+        response_q.put(_result_message(req_id, future.result()))
 
     running = True
     while running:
         message = request_q.get()
         op = message[0]
         if op == "submit":
-            _, req_id, request, shm_name = message
+            _, req_id, request = message
             try:
                 future = service.submit(request)
             except BaseException as exc:  # overload, closed, chaos
@@ -167,8 +99,7 @@ def shard_main(index: int, config_bytes: bytes, request_q, response_q):
                 continue
             futures[req_id] = future
             future.add_done_callback(
-                lambda fut, rid=req_id, name=shm_name:
-                _respond(rid, fut, name))
+                lambda fut, rid=req_id: _respond(rid, fut))
         elif op == "cancel":
             future = futures.get(message[1])
             if future is not None:
@@ -201,16 +132,6 @@ class ShardTicket:
     future: "Future[ServiceResult]"
 
 
-class _Pending:
-    __slots__ = ("future", "request", "segment", "started")
-
-    def __init__(self, future, request, segment):
-        self.future = future
-        self.request = request
-        self.segment = segment
-        self.started = time.monotonic()
-
-
 class ShardHandle:
     """Parent-side control of one shard worker process.
 
@@ -223,16 +144,12 @@ class ShardHandle:
     :param service_config: the :class:`~repro.service.ServiceConfig`
         the worker builds its :class:`~repro.service.PricingService`
         from.
-    :param use_shm: transport result columns through shared memory
-        (pickle fallback remains available either way).
     :param generation: restart count of this slot, for observability.
     """
 
-    def __init__(self, index: int, service_config, *, use_shm: bool = True,
-                 generation: int = 0):
+    def __init__(self, index: int, service_config, *, generation: int = 0):
         self.index = int(index)
         self.generation = int(generation)
-        self.use_shm = bool(use_shm)
         self._config_bytes = pickle.dumps(service_config)
         ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
         self._request_q = ctx.Queue()
@@ -245,8 +162,7 @@ class ShardHandle:
             daemon=True,
         )
         self._lock = threading.Lock()
-        self._pending: "dict[int, _Pending]" = {}
-        self._zombies: "dict[int, shared_memory.SharedMemory]" = {}
+        self._pending: "dict[int, Future[ServiceResult]]" = {}
         self._sync: "dict[tuple, Future]" = {}
         self._next_id = 0
         self._next_seq = 0
@@ -262,8 +178,6 @@ class ShardHandle:
         self._reader = threading.Thread(
             target=self._read_responses,
             name=f"repro-shard-reader-{self.index}", daemon=True)
-        self.shm_results = 0
-        self.pickle_results = 0
 
     # -- lifecycle ------------------------------------------------------
 
@@ -310,31 +224,12 @@ class ShardHandle:
 
     def _abandon(self, error: ShardCrashError) -> None:
         with self._lock:
-            pending = list(self._pending.values())
+            futures = [*self._pending.values(), *self._sync.values()]
             self._pending.clear()
-            zombies = list(self._zombies.values())
-            self._zombies.clear()
-            sync = list(self._sync.values())
             self._sync.clear()
-        for entry in pending:
-            self._discard_segment(entry.segment)
-            if not entry.future.done():
-                entry.future.set_exception(error)
-        for segment in zombies:
-            self._discard_segment(segment)
-        for future in sync:
+        for future in futures:
             if not future.done():
                 future.set_exception(error)
-
-    @staticmethod
-    def _discard_segment(segment) -> None:
-        if segment is None:
-            return
-        try:
-            segment.close()
-            segment.unlink()
-        except (FileNotFoundError, OSError):
-            pass
 
     # -- request path ---------------------------------------------------
 
@@ -343,27 +238,16 @@ class ShardHandle:
         if self._closed or not self._process.is_alive():
             raise ShardCrashError(
                 f"shard {self.index} is not running")
-        segment = None
-        if self.use_shm:
-            size = len(request.options) * 8 * len(_columns_for(request.task))
-            try:
-                segment = shared_memory.SharedMemory(
-                    create=True, size=max(size, 8))
-            except (OSError, ValueError):
-                segment = None  # pickle fallback
         future: "Future[ServiceResult]" = Future()
         with self._lock:
             req_id = self._next_id
             self._next_id += 1
-            self._pending[req_id] = _Pending(future, request, segment)
+            self._pending[req_id] = future
         try:
-            self._request_q.put(
-                ("submit", req_id, request,
-                 None if segment is None else segment.name))
+            self._request_q.put(("submit", req_id, request))
         except (ValueError, OSError):
             with self._lock:
                 self._pending.pop(req_id, None)
-            self._discard_segment(segment)
             raise ShardCrashError(f"shard {self.index} queue is closed")
         return ShardTicket(id=req_id, shard=self.index, future=future)
 
@@ -372,16 +256,13 @@ class ShardHandle:
 
         The local future is cancelled immediately; the shard is told so
         the request is dropped from its admission queue if it has not
-        flushed yet.  The pending entry stays parked as a zombie until
-        the shard answers for this id, so a result that raced the
-        cancel still gets its segment unlinked.
+        flushed yet.  A result that raced the cancel finds no pending
+        entry and is dropped.
         """
         with self._lock:
-            entry = self._pending.pop(ticket.id, None)
-            if entry is not None and entry.segment is not None:
-                self._zombies[ticket.id] = entry.segment
-        if entry is not None:
-            entry.future.cancel()
+            future = self._pending.pop(ticket.id, None)
+        if future is not None:
+            future.cancel()
         try:
             self._request_q.put(("cancel", ticket.id))
         except (ValueError, OSError):
@@ -477,34 +358,14 @@ class ShardHandle:
         now = time.monotonic()
         self._pong = (max(self._pong[0], seq), now, health)
 
-    def _pop(self, req_id: int) -> "_Pending | None":
+    def _pop(self, req_id: int) -> "Future[ServiceResult] | None":
         with self._lock:
-            entry = self._pending.pop(req_id, None)
-            if entry is None:
-                zombie = self._zombies.pop(req_id, None)
-                if zombie is not None:
-                    self._discard_segment(zombie)
-            return entry
+            return self._pending.pop(req_id, None)
 
     def _on_result(self, req_id: int, meta: dict) -> None:
-        entry = self._pop(req_id)
-        if entry is None:
+        future = self._pop(req_id)
+        if future is None:
             return
-        n = int(meta["n"])
-        columns = meta["columns"]
-        arrays: "dict[str, np.ndarray]" = {}
-        if meta["transport"] == "shm" and entry.segment is not None:
-            view = np.ndarray((len(columns), n), dtype=np.float64,
-                              buffer=entry.segment.buf)
-            for row, column in enumerate(columns):
-                arrays[column] = view[row].copy()
-            self.shm_results += 1
-        else:
-            for column in columns:
-                arrays[column] = np.asarray(meta["arrays"][column],
-                                            dtype=np.float64)
-            self.pickle_results += 1
-        self._discard_segment(entry.segment)
         result = ServiceResult(
             route=meta["route"],
             stats=(None if meta["stats"] is None
@@ -514,23 +375,18 @@ class ShardHandle:
             cache_hit=meta["cache_hit"],
             batch_options=meta["batch_options"],
             wait_s=meta["wait_s"],
-            **arrays,
+            **meta["arrays"],
         )
-        if not entry.future.done():
-            entry.future.set_result(result)
+        if not future.done():
+            future.set_result(result)
 
     def _on_error(self, req_id: int, code: str, status: int,
                   message: str) -> None:
-        entry = self._pop(req_id)
-        if entry is None:
-            return
-        self._discard_segment(entry.segment)
-        if not entry.future.done():
-            entry.future.set_exception(error_from_wire(code, message))
+        future = self._pop(req_id)
+        if future is not None and not future.done():
+            future.set_exception(error_from_wire(code, message))
 
     def _on_cancelled(self, req_id: int) -> None:
-        entry = self._pop(req_id)
-        if entry is None:
-            return  # normal: parent-initiated cancel already parked it
-        self._discard_segment(entry.segment)
-        entry.future.cancel()
+        future = self._pop(req_id)
+        if future is not None:
+            future.cancel()

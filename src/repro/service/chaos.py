@@ -158,22 +158,22 @@ class ChaosInjector:
     def on_cache_store(self, cache, entry) -> None:
         """Hook after a cache put: may corrupt the entry or clear all.
 
-        Corruption flips one bit of the stored price array *in place*
-        (the cache holds the same frozen array object), so only the
-        cache's checksum verification can tell — exactly the silent
-        bit-rot scenario the verifying cache exists for.
+        Corruption flips one bit of the stored block *in place* (the
+        cache holds the same frozen array object), so only the cache's
+        checksum verification can tell — exactly the silent bit-rot
+        scenario the verifying cache exists for.
         """
         ordinal = self._tick("store")
         if self._fires(ordinal, self.plan.corrupt_every):
             with self._lock:
                 self.injected["corruptions"] += 1
-            prices = entry.prices
-            prices.setflags(write=True)
+            block = entry.block
+            block.setflags(write=True)
             try:
-                view = prices.view(np.uint64)
+                view = block.reshape(-1).view(np.uint64)
                 view[ordinal % len(view)] ^= np.uint64(1 << 52)
             finally:
-                prices.setflags(write=False)
+                block.setflags(write=False)
         if self._fires(ordinal, self.plan.evict_every):
             with self._lock:
                 self.injected["evictions"] += 1

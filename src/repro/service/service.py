@@ -16,9 +16,12 @@ Life of a request::
       │  already queued?      (one execution, many futures)
       └─ else              -> bounded admission queue
                                │ coalescer thread
-                               │ buckets by request.batch_key
-                               │ flush on max_batch options or the
-                               │ oldest entry's max_wait_ms deadline
+                               │ drains the backlog into buckets by
+                               │ request.batch_key, then flushes on
+                               │ max_batch options or the oldest
+                               │ entry's max_wait_ms deadline (0 by
+                               │ default: at once when the queue is
+                               │ empty)
                                ▼
                              run_request(engine, merged request)
                                ▼
@@ -74,7 +77,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..api import (
-    GREEKS_COLUMNS,
+    RESULT_COLUMNS,
     PricingRequest,
     ServiceResult,
     _engine_profile,
@@ -102,8 +105,6 @@ from .health import (
 )
 
 __all__ = ["PricingService", "ServiceConfig"]
-
-_GREEKS_COLUMNS = GREEKS_COLUMNS
 
 #: Sentinel the coalescer drains up to on :meth:`PricingService.close`.
 _CLOSE = object()
@@ -213,8 +214,13 @@ class ServiceConfig:
         (requests stay whole — a flush may overshoot by the last
         request's size).
     :param max_wait_ms: flush a bucket this long after its **oldest**
-        entry arrived, even if under-full — the latency bound a
-        request pays for the chance to be coalesced.
+        entry arrived, even if under-full — the latency a request pays
+        for the chance to be coalesced.  The default ``0`` makes the
+        coalescer work-conserving: a bucket flushes as soon as the
+        admission queue is empty, so a lone request never waits on a
+        timer, while requests that queued up behind a running flush
+        still leave together in one.  A positive value holds a bucket
+        open for company.
     :param max_queue: admission-queue capacity in requests; submits
         beyond it raise :class:`ServiceOverloadedError`.
     :param cache_bytes: result-cache payload budget (0 disables
@@ -240,7 +246,7 @@ class ServiceConfig:
     """
 
     max_batch: int = 256
-    max_wait_ms: float = 2.0
+    max_wait_ms: float = 0.0
     max_queue: int = 1024
     cache_bytes: int = 64 << 20
     workers: "int | None" = None
@@ -383,7 +389,7 @@ class PricingService:
             if entry is not None:
                 self.metrics.cache_hits.inc()
                 span.set(outcome="cache_hit").end()
-                future.set_result(self._entry_result(request, entry))
+                future.set_result(self._entry_result(entry))
                 return future
             followers = self._inflight.get(key)
             if followers is not None:
@@ -426,14 +432,11 @@ class PricingService:
 
     # -- results -----------------------------------------------------------
 
-    def _entry_result(self, request: PricingRequest,
-                      entry: CacheEntry) -> ServiceResult:
-        columns = dict.fromkeys(_GREEKS_COLUMNS)
-        if entry.greeks is not None:
-            columns = dict(zip(_GREEKS_COLUMNS, entry.greeks))
-        return ServiceResult(prices=entry.prices, route="service",
-                             cache_hit=True, batch_options=0, wait_s=0.0,
-                             **columns)
+    @staticmethod
+    def _entry_result(entry: CacheEntry) -> ServiceResult:
+        return ServiceResult(route="service", cache_hit=True,
+                             batch_options=0, wait_s=0.0,
+                             **dict(zip(RESULT_COLUMNS, entry.block)))
 
     def _resolve(self, pending: _Pending, result: ServiceResult) -> None:
         """Apply the caller's ``strict`` flag and resolve one future."""
@@ -476,12 +479,9 @@ class PricingService:
         first, so the next identical request is a pure hit.
         """
         if not result.failures:
-            greeks = None
-            if pending.request.task == "greeks":
-                greeks = tuple(CacheEntry.freeze(getattr(result, column))
-                               for column in _GREEKS_COLUMNS)
-            entry = CacheEntry(prices=CacheEntry.freeze(result.prices),
-                               greeks=greeks)
+            entry = CacheEntry.freeze(
+                [array for column in RESULT_COLUMNS
+                 if (array := getattr(result, column)) is not None])
             evicted = self._cache.put(pending.key, entry)
             if evicted:
                 self.metrics.cache_evictions.inc(float(evicted))
@@ -782,15 +782,18 @@ class PricingService:
                       batch_options: int, flush_start: float) -> ServiceResult:
         wait_s = max(0.0, flush_start - pending.enqueued)
         self.metrics.mean_wait_s.observe(wait_s)
-        failures = tuple(replace(record, index=record.index - lo)
-                         for record in result.failures
-                         if lo <= record.index < hi)
-        columns = dict.fromkeys(_GREEKS_COLUMNS)
-        if pending.request.task == "greeks":
-            columns = {column: getattr(result, column)[lo:hi]
-                       for column in _GREEKS_COLUMNS}
+        # A lone entry takes the flush's arrays and records whole.
+        whole = hi - lo == batch_options
+        failures = result.failures if whole else tuple(
+            replace(record, index=record.index - lo)
+            for record in result.failures if lo <= record.index < hi)
+        columns = {}
+        for column in RESULT_COLUMNS:
+            array = getattr(result, column, None)
+            columns[column] = (array if whole or array is None
+                               else array[lo:hi])
         return ServiceResult(
-            prices=result.prices[lo:hi], route="service",
+            route="service",
             stats=result.stats, failures=failures, cache_hit=False,
             batch_options=batch_options, wait_s=wait_s, **columns)
 

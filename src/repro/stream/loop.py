@@ -27,6 +27,7 @@ latency sample — they are counted separately.
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,8 +133,12 @@ class StreamRunner:
         (caller keeps ownership) that executes revaluation batches.
     :param config: pricing/batching knobs.
     :param on_aggregate: optional callback invoked with each published
-        :class:`AggregateUpdate` (after it is appended to
-        :attr:`published`).
+        :class:`AggregateUpdate` (after it became :attr:`published`).
+
+    The runner keeps only the latest update, so a long-running stream
+    holds constant state: callers collect history from the return
+    value of :meth:`process` or from ``on_aggregate``, and tick-to-risk
+    latencies land in the ``mean_tick_to_risk_s`` histogram.
     """
 
     def __init__(self, book: PositionBook, service, *,
@@ -147,10 +152,9 @@ class StreamRunner:
         self.on_aggregate = on_aggregate
         self.metrics = LayerMetrics("stream")
         self.metrics.instruments.set(float(len(book)))
-        #: every published update, in sequence order
-        self.published: "list[AggregateUpdate]" = []
-        #: tick-to-risk latency samples (seconds), one per covered tick
-        self.latencies: "list[float]" = []
+        #: the latest published update (``published[-1]``), once any
+        self.published: "deque[AggregateUpdate]" = deque(maxlen=1)
+        self._seq = 0
         self._pending = _PendingLatency()
         self._ticks_since_reval = 0
         self._last_ts = 0.0
@@ -182,13 +186,13 @@ class StreamRunner:
         reflects every material tick).  The book's initial whole-book
         valuation happens on the first revaluation.
         """
-        start = len(self.published)
+        updates = []
         for tick in ticks:
             self.apply(tick)
             if self._ticks_since_reval >= self.config.batch_ticks:
-                self.revalue()
-        self.revalue()
-        return self.published[start:]
+                updates.append(self.revalue())
+        updates.append(self.revalue())
+        return [update for update in updates if update is not None]
 
     # -- revaluation ----------------------------------------------------
 
@@ -227,17 +231,17 @@ class StreamRunner:
         value = columns["value"]
         pnl = 0.0 if self._last_value is None else value - self._last_value
         self._last_value = value
+        self._seq += 1
         update = AggregateUpdate(
-            seq=len(self.published) + 1, ts=self._last_ts,
+            seq=self._seq, ts=self._last_ts,
             columns=columns, pnl=pnl, repriced=repriced,
             instruments=len(self.book))
         self.published.append(update)
         self.metrics.aggregates.inc()
         published_at = time.monotonic()
         for arrival in self._pending.arrivals:
-            sample = max(0.0, published_at - arrival)
-            self.metrics.mean_tick_to_risk_s.observe(sample)
-            self.latencies.append(sample)
+            self.metrics.mean_tick_to_risk_s.observe(
+                max(0.0, published_at - arrival))
         self._pending.arrivals.clear()
         self._ticks_since_reval = 0
         if self.on_aggregate is not None:

@@ -15,7 +15,7 @@ re-execution.
 CLI: ``repro sweep run | resume | status | report``.  Wire schemas:
 ``repro-sweep-spec/v1``, ``repro-sweep-row/v1``,
 ``repro-sweep-frontier/v1``; stats are the ``sweep`` section of
-``repro-stats/v11`` — see
+``repro-stats/v12`` — see
 ``docs/sweeps.md``.
 """
 

@@ -4,7 +4,7 @@ Every test boots a :class:`~repro.serve.PricingServer` (forked shard
 worker processes, asyncio front-end on an ephemeral localhost port)
 and talks to it through :class:`~repro.serve.ServeClient` or a raw
 socket — the full production path: wire codec, consistent-hash
-routing, shared-memory result transport, deadline/priority/cancel
+routing, result transport over the shard pipe, deadline/priority/cancel
 semantics, and supervised shard restart.
 """
 
@@ -107,7 +107,7 @@ class TestPricingOverTheWire:
         serve = document["serve"]
         assert tuple(serve) == keys.SERVE.names
         assert serve["requests"] >= 1
-        assert serve["shm_results"] + serve["pickle_results"] >= 1
+        assert serve["responses"] >= 1
         assert serve["shards"] == 2
         assert len(document["shards"]) == 2
         for shard in document["shards"]:
@@ -163,7 +163,7 @@ class TestPricingOverTheWire:
 class TestParityAgainstInProcessService:
     @pytest.mark.parametrize("fault_seed", [None, 101, 202, 303])
     def test_network_results_bitwise_equal(self, fault_seed):
-        """The wire + shard + shm path must not move one ULP — with or
+        """The wire + shard pipe path must not move one ULP — with or
         without transient injected faults (which heal on retry)."""
         faults = (FaultPlan.random(fault_seed, 4)
                   if fault_seed is not None else None)

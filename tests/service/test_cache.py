@@ -24,8 +24,7 @@ def _request(batch, **overrides):
 
 
 def _entry(n=1, value=1.0):
-    return CacheEntry(prices=CacheEntry.freeze(
-        np.full(n, value, dtype=np.float64)))
+    return CacheEntry.freeze([np.full(n, value, dtype=np.float64)])
 
 
 class TestRequestKey:
@@ -102,7 +101,7 @@ class TestResultCache:
         assert cache.put("a", _entry(value=2.0)) == 0
         assert len(cache) == 1
         assert cache.bytes_used == 8
-        assert cache.get("a").prices[0] == 2.0
+        assert cache.get("a").block[0, 0] == 2.0
 
     def test_zero_budget_disables_the_cache(self):
         cache = ResultCache(0)
@@ -122,28 +121,31 @@ class TestResultCache:
 
     def test_frozen_arrays_are_read_only_copies(self):
         source = np.ones(3)
-        frozen = CacheEntry.freeze(source)
+        entry = CacheEntry.freeze([source])
         source[0] = 7.0
-        assert frozen[0] == 1.0
+        assert entry.block[0, 0] == 1.0
         with pytest.raises(ValueError):
-            frozen[0] = 2.0
+            entry.block[0, 1] = 2.0
 
     def test_entry_nbytes_counts_greeks_columns(self):
-        prices = CacheEntry.freeze(np.ones(2))
-        greeks = tuple(CacheEntry.freeze(np.ones(2)) for _ in range(5))
-        assert CacheEntry(prices=prices).nbytes == 16
-        assert CacheEntry(prices=prices, greeks=greeks).nbytes == 96
+        price = CacheEntry.freeze([np.ones(2)])
+        greeks = CacheEntry.freeze([np.full(2, float(row))
+                                    for row in range(6)])
+        assert price.block.shape == (1, 2) and price.nbytes == 16
+        assert greeks.block.shape == (6, 2) and greeks.nbytes == 96
+        assert greeks.block.flags.owndata
+        assert np.array_equal(greeks.block[4], [4.0, 4.0])
 
 
 class TestVerification:
     @staticmethod
-    def _flip_bit(entry):
-        prices = entry.prices
-        prices.setflags(write=True)
+    def _flip_bit(entry, row=0):
+        block = entry.block
+        block.setflags(write=True)
         try:
-            prices.view(np.uint64)[0] ^= np.uint64(1)
+            block[row].view(np.uint64)[0] ^= np.uint64(1)
         finally:
-            prices.setflags(write=False)
+            block.setflags(write=False)
 
     def test_corrupted_hit_is_discarded_and_counted(self):
         cache = ResultCache(1024, verify=True)
@@ -170,17 +172,10 @@ class TestVerification:
         assert cache.get("k") is entry
 
     def test_greeks_columns_are_checksummed_too(self):
-        greeks = tuple(CacheEntry.freeze(np.ones(1)) for _ in range(5))
-        entry = CacheEntry(prices=CacheEntry.freeze(np.ones(1)),
-                           greeks=greeks)
+        entry = CacheEntry.freeze([np.ones(1)] * 6)
         cache = ResultCache(1024, verify=True)
         cache.put("k", entry)
-        column = entry.greeks[3]
-        column.setflags(write=True)
-        try:
-            column[0] = 7.0
-        finally:
-            column.setflags(write=False)
+        self._flip_bit(entry, row=4)  # vega
         assert cache.get("k") is None
         assert cache.corruptions_detected == 1
 
@@ -235,7 +230,7 @@ class TestThreadedStress:
                     else:
                         hit = cache.get(key)
                         if hit is not None:
-                            assert hit.prices.shape == (1,)
+                            assert hit.block.shape == (1, 1)
                     assert cache.bytes_used <= budget
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
@@ -276,7 +271,7 @@ class TestVerificationLocking:
                 held_during_hash.append(not free)
                 return CacheEntry.checksum(entry_self)
 
-        entry = _ProbeEntry(prices=CacheEntry.freeze(np.ones(1)))
+        entry = _ProbeEntry.freeze([np.ones(1)])
         cache.put("k", entry)
         # Admission hashes under the lock (cheap, once); only the hit
         # path's hashing matters for reader concurrency.
@@ -298,7 +293,7 @@ class TestVerificationLocking:
                         cache.put("k", replacement)
                 return CacheEntry.checksum(entry_self)
 
-        cache.put("k", _SwappedEntry(prices=CacheEntry.freeze(np.ones(1))))
+        cache.put("k", _SwappedEntry.freeze([np.ones(1)]))
         # get() hashes the old entry, notices it is no longer current,
         # and retries against (and verifies) the replacement.
         assert cache.get("k") is replacement

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import repro.api as api
+import repro.service.service as service_module
 from repro.api import PricingRequest, ServiceResult
 from repro.engine.engine import PricingEngine
 from repro.errors import (
@@ -92,6 +93,56 @@ class TestCoalescing:
                            for future in futures])
         assert np.array_equal(prices, direct_prices)
         assert stats.flush_drain >= 1
+
+    def test_default_config_never_holds_a_lone_request(self, batch):
+        # Work-conserving default: once the queue is empty a bucket
+        # flushes, so the coalescer never blocks on a bucket timer —
+        # every queue wait it makes is an untimed wait for new work.
+        assert ServiceConfig().max_wait_ms == 0.0
+        with PricingService() as service:
+            timeouts = []
+            get = service._queue.get
+
+            def recording_get(timeout=None):
+                timeouts.append(timeout)
+                return get(timeout=timeout)
+
+            service._queue.get = recording_get
+            for request in _single_requests(batch[:3]):
+                result = service.submit(request).result(timeout=WAIT)
+                assert result.batch_options == 1
+            stats = service.stats()
+        assert timeouts and set(timeouts) == {None}
+        assert stats.flushes == stats.flush_deadline == 3
+
+    def test_backlog_behind_a_running_flush_leaves_in_one_flush(
+            self, monkeypatch):
+        options = tuple(generate_batch(n_options=17, seed=23).options)
+        entered, release = threading.Event(), threading.Event()
+        real_run = service_module.run_request
+
+        def held_run(engine, request, deadline_s=None):
+            if not release.is_set():
+                entered.set()
+                assert release.wait(WAIT)
+            return real_run(engine, request, deadline_s=deadline_s)
+
+        monkeypatch.setattr(service_module, "run_request", held_run)
+        with PricingService() as service:
+            lone = service.submit(_single_requests(options[:1])[0])
+            assert entered.wait(WAIT)
+            backlog = [service.submit(request)
+                       for request in _single_requests(options[1:])]
+            release.set()
+            assert lone.result(timeout=WAIT).batch_options == 1
+            results = [future.result(timeout=WAIT) for future in backlog]
+            stats = service.stats()
+        assert stats.flushes == 2
+        assert {result.batch_options for result in results} == {16}
+        with PricingEngine(kernel=KERNEL) as engine:
+            expected = engine.run(list(options[1:]), STEPS).prices
+        prices = np.array([result.prices[0] for result in results])
+        assert np.array_equal(prices, expected)  # bitwise, rtol=0
 
     def test_mixed_depths_share_a_bucket(self, batch):
         # steps is not part of batch_key: one flush covers both depths

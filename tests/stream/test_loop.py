@@ -1,5 +1,6 @@
 """StreamRunner: replay determinism, oracle parity, fault healing."""
 
+from collections.abc import Sized
 from dataclasses import replace
 
 import pytest
@@ -56,8 +57,8 @@ def _run(tolerances=None, config=CONFIG, service_config=None, seed=5,
     with PricingService(service_config or _service_config()) as service:
         runner = StreamRunner(book, service, config=config,
                               on_aggregate=on_aggregate)
-        runner.process(_source(book, seed=seed))
-    return book, runner
+        updates = runner.process(_source(book, seed=seed))
+    return book, runner, updates
 
 
 def _fingerprints(updates):
@@ -81,46 +82,64 @@ class TestRunnerBasics:
             StreamConfig(reval_timeout_s=0.0)
 
     def test_publishes_sequenced_aggregates(self):
-        _book_, runner = _run()
-        seqs = [u.seq for u in runner.published]
+        _book_, runner, updates = _run()
+        seqs = [u.seq for u in updates]
         assert seqs == list(range(1, len(seqs) + 1))
-        assert runner.published  # at least the end-of-stream revaluation
+        assert updates  # at least the end-of-stream revaluation
+        assert list(runner.published) == [updates[-1]]
 
     def test_pnl_chains_value_deltas(self):
-        _book_, runner = _run()
-        assert runner.published[0].pnl == 0.0
-        for prev, cur in zip(runner.published, runner.published[1:]):
+        _book_, _runner, updates = _run()
+        assert updates[0].pnl == 0.0
+        for prev, cur in zip(updates, updates[1:]):
             assert cur.pnl == cur.value - prev.value
 
     def test_revalue_with_nothing_dirty_is_noop(self):
         book = _book()
         with PricingService(_service_config()) as service:
             runner = StreamRunner(book, service, config=CONFIG)
-            runner.revalue()  # initial whole-book valuation
-            published = len(runner.published)
+            initial = runner.revalue()  # initial whole-book valuation
             assert runner.revalue() is None
-            assert len(runner.published) == published
+            assert list(runner.published) == [initial]
 
     def test_latency_samples_cover_materialised_ticks(self):
-        _book_, runner = _run()
+        _book_, runner, _updates = _run()
         stats = runner.stats()
         covered = stats.ticks - stats.suppressed_ticks
-        assert len(runner.latencies) == covered
-        assert all(sample >= 0.0 for sample in runner.latencies)
+        assert runner.metrics.mean_tick_to_risk_s.count == covered
+        assert runner.metrics.mean_tick_to_risk_s.sum >= 0.0
+
+    def test_retained_state_stays_constant_over_revaluations(self):
+        # a long-running stream must not grow the runner: history is
+        # the caller's (process() return value, on_aggregate)
+        book = _book()
+        ticks = list(_source(book, n_steps=60))
+        cut = len(ticks) // 10
+
+        def sizes(runner):
+            return {name: len(value) for name, value in vars(runner).items()
+                    if isinstance(value, Sized)}
+
+        with PricingService(_service_config()) as service:
+            runner = StreamRunner(book, service, config=CONFIG)
+            runner.process(ticks[:cut])
+            before, batches = sizes(runner), runner.stats().reval_batches
+            runner.process(ticks[cut:])
+            assert runner.stats().reval_batches >= batches + 20
+            assert sizes(runner) == before
+            assert len(runner.published) == 1
 
 
 class TestReplayDeterminism:
     def test_two_fresh_runs_are_bitwise_identical(self):
-        _b1, first = _run()
-        _b2, second = _run()
-        assert _fingerprints(first.published) == \
-            _fingerprints(second.published)
+        *_, first = _run()
+        *_, second = _run()
+        assert _fingerprints(first) == _fingerprints(second)
 
     def test_different_seed_changes_the_stream(self):
-        _b1, first = _run(seed=5)
-        _b2, second = _run(seed=6)
-        assert _fingerprints(first.published) != \
-            _fingerprints(second.published)
+        *_, first = _run(seed=5)
+        *_, second = _run(seed=6)
+        assert _fingerprints(first) != _fingerprints(second)
 
 
 class TestOracleParity:
@@ -138,12 +157,12 @@ class TestOracleParity:
         with PricingService(_service_config()) as service:
             runner = StreamRunner(book, service, config=CONFIG,
                                   on_aggregate=verify)
-            runner.process(_source(book))
-        assert checked == [u.seq for u in runner.published]
+            updates = runner.process(_source(book))
+        assert checked == [u.seq for u in updates]
 
     @pytest.mark.parametrize("fault_seed", [101, 202, 303])
     def test_parity_holds_under_transient_faults(self, fault_seed):
-        _calm_book, calm = _run()
+        *_, calm = _run()
         faults = FaultPlan.random(fault_seed, N_INSTRUMENTS)
         book = _book()
 
@@ -155,15 +174,14 @@ class TestOracleParity:
         with PricingService(_service_config(faults=faults)) as service:
             runner = StreamRunner(book, service, config=CONFIG,
                                   on_aggregate=verify)
-            runner.process(_source(book))
-        assert _fingerprints(runner.published) == \
-            _fingerprints(calm.published)
+            updates = runner.process(_source(book))
+        assert _fingerprints(updates) == _fingerprints(calm)
 
     def test_price_task_publishes_value_only(self):
         config = StreamConfig(kernel="iv_b", backend="numpy",
                               batch_ticks=6, task="price")
-        book, runner = _run(config=config)
-        final = runner.published[-1]
+        book, _runner, updates = _run(config=config)
+        final = updates[-1]
         oracle = full_repricing_oracle(book, config)
         assert final.columns["value"].hex() == oracle["value"].hex()
         assert all(final.columns[c] == 0.0
@@ -175,7 +193,7 @@ class TestToleranceGating:
                   for field in ("spot", "volatility", "rate")}
 
     def test_suppression_saves_revaluations_and_keeps_parity(self):
-        _ungated_book, ungated = _run()
+        _ungated_book, ungated, _updates = _run()
         book = _book(self.TOLERANCES)
 
         def verify(update):
@@ -236,10 +254,11 @@ class TestToleranceGating:
 
 class TestStreamStats:
     def test_counters_reconcile(self):
-        _book_, runner = _run()
+        _book_, runner, updates = _run()
         stats = runner.stats()
         assert stats.instruments == N_INSTRUMENTS
-        assert stats.aggregates == len(runner.published)
-        assert stats.ticks == stats.suppressed_ticks + len(runner.latencies)
+        assert stats.aggregates == len(updates)
+        assert stats.ticks == (stats.suppressed_ticks
+                               + runner.metrics.mean_tick_to_risk_s.count)
         assert stats.revaluations >= stats.reval_batches >= 1
         assert stats.mean_tick_to_risk_s >= 0.0

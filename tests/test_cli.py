@@ -211,7 +211,7 @@ class TestCommands:
         assert "fault seed 101" in out
         document = json.loads(out_path.read_text())
         assert document["schema"] == "repro-service-bench/v2"
-        assert document["stats_schema"] == "repro-stats/v11"
+        assert document["stats_schema"] == "repro-stats/v12"
         entry = document["results"][0]
         assert entry["parity"]["bit_identical_to_direct"] is True
         assert entry["overload"]["loss_threshold"] == 0.01
@@ -267,7 +267,7 @@ class TestCommands:
         assert "revaluations/s" in out
         document = json.loads(out_path.read_text())
         assert document["schema"] == "repro-stream-bench/v1"
-        assert document["stats_schema"] == "repro-stats/v11"
+        assert document["stats_schema"] == "repro-stats/v12"
         entry = document["results"][0]
         assert entry["parity"]["bitwise"] is True
         assert entry["parity"]["replay"] is True
