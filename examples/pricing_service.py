@@ -53,7 +53,7 @@ def main() -> None:
           f"options/s  (one {len(book)}-option batch)")
 
     # -- 2. the same book as concurrent single-option requests -------------
-    config = ServiceConfig(max_batch=CLIENTS, max_wait_ms=2.0)
+    config = ServiceConfig(max_batch=CLIENTS)
     prices = np.empty(len(book))
 
     with PricingService(config) as service:

@@ -18,7 +18,7 @@ batch size:
   under an injected ``fault_seed``, whose transient faults heal on
   retry);
 * **latency** — per-request p50/p99 from the closed-loop phase (the
-  tail is where coalescing's ``max_wait_ms`` gamble shows up);
+  tail is where a request queued behind a running flush shows up);
 * **overload saturation** — an open-loop ramp against a small-queue
   service finds the offered load at which the shed/reject rate first
   crosses 1%, i.e. where the backpressure contract starts refusing
@@ -112,7 +112,7 @@ def _closed_loop(service: PricingService, options, steps: int, kernel: str,
 
 
 def _overload_probe(options, steps: int, kernel: str, backend: str,
-                    max_batch: int, max_wait_ms: float, start_rate: float,
+                    max_batch: int, start_rate: float,
                     levels: int = 6, requests_per_level: int = 160) -> dict:
     """Ramp offered load until the shed/reject rate crosses 1%.
 
@@ -132,8 +132,7 @@ def _overload_probe(options, steps: int, kernel: str, backend: str,
     saturation = None
     rate = max(start_rate, 1.0)
     for _ in range(levels):
-        config = ServiceConfig(max_batch=max_batch, max_wait_ms=max_wait_ms,
-                               max_queue=4 * max_batch)
+        config = ServiceConfig(max_batch=max_batch, max_queue=4 * max_batch)
         rejected = shed = 0
         futures = []
         with PricingService(config) as service:
@@ -183,7 +182,6 @@ def run_service_benchmark(
     kernel: str = "iv_b",
     clients: int = 64,
     max_batch: "int | None" = None,
-    max_wait_ms: float = 2.0,
     family: LatticeFamily = LatticeFamily.CRR,
     seed: int = 20140324,
     fault_seed: "int | None" = None,
@@ -232,7 +230,7 @@ def run_service_benchmark(
                 f"{direct.failures[0]}")
         direct_rate = n_options / direct_wall
 
-        config = ServiceConfig(max_batch=max_batch, max_wait_ms=max_wait_ms,
+        config = ServiceConfig(max_batch=max_batch,
                                max_queue=max(1024, 2 * n_options),
                                faults=faults)
         with PricingService(config, tracer=tracer) as service:
@@ -264,7 +262,6 @@ def run_service_benchmark(
         service_rate = n_options / service_wall
         overload = _overload_probe(options, steps, kernel, backend,
                                    max_batch=max_batch,
-                                   max_wait_ms=max_wait_ms,
                                    start_rate=service_rate)
         results.append({
             "options": n_options,
@@ -304,7 +301,6 @@ def run_service_benchmark(
             "seed": seed,
             "clients": clients,
             "max_batch": max_batch,
-            "max_wait_ms": max_wait_ms,
             "fault_seed": fault_seed,
             "backend": backend,
         },
@@ -498,7 +494,6 @@ def run_serve_benchmark(
     seed: int = 20140324,
     fault_seed: "int | None" = None,
     backend: str = "numpy",
-    max_wait_ms: float = 2.0,
     saturation_levels: int = 4,
     probe_deadline_ms: float = 2000.0,
     min_two_shard_speedup: float = 1.6,
@@ -543,7 +538,7 @@ def run_serve_benchmark(
 
     faults = (FaultPlan.random(fault_seed, options_per_request)
               if fault_seed is not None else None)
-    service_config = ServiceConfig(max_wait_ms=max_wait_ms, faults=faults)
+    service_config = ServiceConfig(faults=faults)
     requests = _serve_traffic(requests_total, options_per_request, steps,
                               seed, backend)
     warmup = _serve_traffic(len(SERVE_TRAFFIC_VARIANTS), options_per_request,
@@ -629,7 +624,6 @@ def run_serve_benchmark(
             "options_per_request": options_per_request,
             "shard_counts": sorted(set(int(c) for c in shard_counts)),
             "clients": clients,
-            "max_wait_ms": max_wait_ms,
             "fault_seed": fault_seed,
             "backend": backend,
         },

@@ -30,6 +30,7 @@ machinery as the engine, greeks, service and serve baselines.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -173,7 +174,6 @@ def run_stream_benchmark(
     kernel: str = "iv_b",
     batch_ticks: int = 8,
     max_batch: "int | None" = None,
-    max_wait_ms: float = 0.0,
     family: LatticeFamily = LatticeFamily.CRR,
     seed: int = 20140324,
     fault_seeds: Sequence[int] = DEFAULT_FAULT_SEEDS,
@@ -201,8 +201,7 @@ def run_stream_benchmark(
     for n_instruments in instrument_counts:
         flush_at = max_batch if max_batch is not None else n_instruments
         service_config = ServiceConfig(
-            max_batch=flush_at, max_wait_ms=max_wait_ms,
-            max_queue=max(1024, 2 * n_instruments))
+            max_batch=flush_at, max_queue=max(1024, 2 * n_instruments))
         stream_config = StreamConfig(kernel=kernel, family=family,
                                      backend=backend,
                                      batch_ticks=batch_ticks)
@@ -229,10 +228,8 @@ def run_stream_benchmark(
             faulted, *_ = _run_stream(
                 fault_book, _tick_source(fault_book, tick_steps, seed),
                 stream_config,
-                ServiceConfig(
-                    max_batch=flush_at, max_wait_ms=max_wait_ms,
-                    max_queue=max(1024, 2 * n_instruments),
-                    faults=FaultPlan.random(fault_seed, n_instruments)))
+                replace(service_config, faults=FaultPlan.random(
+                    fault_seed, n_instruments)))
             _assert_streams_equal(reference, faulted,
                                   f"stream under fault seed {fault_seed}")
 
@@ -288,7 +285,6 @@ def run_stream_benchmark(
             "seed": seed,
             "batch_ticks": batch_ticks,
             "max_batch": max_batch,
-            "max_wait_ms": max_wait_ms,
             "fault_seeds": list(fault_seeds),
             "backend": backend,
             "rel_tol": rel_tol,

@@ -169,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-batch", type=int, default=None,
                          help="service flush threshold in options "
                               "(default: --clients)")
-    p_serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                         help="coalescing deadline per bucket (default 2.0)")
     p_serve.add_argument("--kernel", choices=("iv_a", "iv_b", "reference"),
                          default="iv_b")
     p_serve.add_argument("--fault-seed", type=int, default=None,
@@ -217,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument("--max-batch", type=int, default=None,
                           help="service flush threshold in options "
                                "(default: the instrument count)")
-    p_stream.add_argument("--max-wait-ms", type=float, default=0.0,
-                          help="coalescing deadline per bucket "
-                               "(default 0.0: flush immediately)")
     p_stream.add_argument("--kernel", choices=("iv_a", "iv_b", "reference"),
                           default="iv_b")
     p_stream.add_argument("--backend", choices=_BACKEND_CHOICES,
@@ -264,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-batch", type=int, default=256,
                        help="per-shard coalescing flush threshold "
                             "(default 256)")
-    p_run.add_argument("--max-wait-ms", type=float, default=0.0,
-                       help="how long a shard holds an under-full bucket "
-                            "open for company (default 0: flush as soon "
-                            "as the shard's queue is empty)")
     p_run.add_argument("--fault-seed", type=int, default=None,
                        help="inject FaultPlan.random(seed) transient "
                             "faults into every shard engine (testing)")
@@ -380,8 +371,10 @@ def _run_sweep(args) -> int:
             spec = _load_sweep_spec(args.spec)
             service_config = None
             if args.workers is not None:
+                from .engine import EngineConfig
                 from .service import ServiceConfig
-                service_config = ServiceConfig(workers=args.workers)
+                service_config = ServiceConfig(
+                    engine_config=EngineConfig(workers=args.workers))
             runner = SweepRunner(spec, args.store,
                                  service_config=service_config)
             stats = runner.run(limit=args.limit)
@@ -624,9 +617,7 @@ def _run_serve(args) -> int:
               if args.fault_seed is not None else None)
     config = ServeConfig(
         host=args.host, port=args.port, shards=args.shards,
-        service=ServiceConfig(max_batch=args.max_batch,
-                              max_wait_ms=args.max_wait_ms,
-                              faults=faults),
+        service=ServiceConfig(max_batch=args.max_batch, faults=faults),
     )
     server = PricingServer(config).start()
     stop = threading.Event()
@@ -675,8 +666,7 @@ def _run_serve_network_bench(args) -> int:
     document = run_serve_benchmark(
         requests_total=requests_total, options_per_request=per_request,
         steps=steps, shard_counts=tuple(args.shards), clients=clients,
-        fault_seed=args.fault_seed, backend=args.backend,
-        max_wait_ms=args.max_wait_ms, tracer=tracer,
+        fault_seed=args.fault_seed, backend=args.backend, tracer=tracer,
     )
     path = _emit_document(document, out)
 
@@ -760,8 +750,7 @@ def _run_serve_bench(args) -> int:
     document = run_service_benchmark(
         options_counts=options_counts, steps=steps, kernel=args.kernel,
         clients=clients, max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms, fault_seed=args.fault_seed,
-        backend=args.backend, tracer=tracer,
+        fault_seed=args.fault_seed, backend=args.backend, tracer=tracer,
     )
     path = _emit_document(document, args.out)
 
@@ -839,9 +828,8 @@ def _run_stream_bench(args) -> int:
     document = run_stream_benchmark(
         instrument_counts=instruments, tick_steps=tick_steps, steps=steps,
         kernel=args.kernel, batch_ticks=args.batch_ticks,
-        max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-        fault_seeds=args.fault_seeds, backend=args.backend,
-        rel_tol=args.rel_tol, tracer=tracer,
+        max_batch=args.max_batch, fault_seeds=args.fault_seeds,
+        backend=args.backend, rel_tol=args.rel_tol, tracer=tracer,
     )
     path = _emit_document(document, args.out)
 

@@ -186,7 +186,7 @@ SERVICE = Layer("service", keys=(
     _counter("flush_full", "repro_service_flush_full_total",
              "Flushes triggered by max_batch"),
     _counter("flush_deadline", "repro_service_flush_deadline_total",
-             "Flushes triggered by the max_wait_ms deadline"),
+             "Under-full flushes made once the admission queue was empty"),
     _counter("flush_drain", "repro_service_flush_drain_total",
              "Flushes triggered by close() or drain()"),
     _counter("cache_hits", "repro_service_cache_hits_total",

@@ -16,12 +16,11 @@ Life of a request::
       │  already queued?      (one execution, many futures)
       └─ else              -> bounded admission queue
                                │ coalescer thread
-                               │ drains the backlog into buckets by
-                               │ request.batch_key, then flushes on
-                               │ max_batch options or the oldest
-                               │ entry's max_wait_ms deadline (0 by
-                               │ default: at once when the queue is
-                               │ empty)
+                               │ blocks for one entry, drains the
+                               │ backlog into buckets by
+                               │ request.batch_key, flushes a bucket on
+                               │ max_batch options and the rest as
+                               │ soon as the queue is empty
                                ▼
                              run_request(engine, merged request)
                                ▼
@@ -42,11 +41,11 @@ composition (and therefore coalescing) cannot change a single ULP.
 
 Robustness (the serving contract under stress):
 
-* **deadlines** — a request carrying ``deadline_ms`` is rejected with
-  :class:`~repro.errors.DeadlineExceededError` the moment its budget
-  expires in the queue or a bucket (no engine work is spent on it),
-  and while live it bounds the per-chunk timeout of the flush that
-  carries it;
+* **deadlines** — a request carrying ``deadline_ms`` whose budget
+  expired before its flush starts is rejected with
+  :class:`~repro.errors.DeadlineExceededError` (no engine work is
+  spent on it), and while live it bounds the per-chunk timeout of the
+  flush that carries it;
 * **cancellation** — ``future.cancel()`` on a not-yet-flushed request
   is honoured at claim time; a waiting in-flight follower is promoted
   to primary so the computation is only dropped when nobody wants it;
@@ -73,8 +72,6 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from ..api import (
     RESULT_COLUMNS,
@@ -180,10 +177,10 @@ class _AdmissionQueue:
             self._control.append(token)
             self._ready.notify()
 
-    def get(self, timeout: "float | None" = None):
+    def get(self):
+        """Block until an entry or control token is available."""
         with self._ready:
-            if not self._ready.wait_for(self._available, timeout=timeout):
-                raise queue.Empty
+            self._ready.wait_for(self._available)
             return self._pop()
 
     def get_nowait(self):
@@ -213,23 +210,13 @@ class ServiceConfig:
     :param max_batch: flush a bucket once it holds this many *options*
         (requests stay whole — a flush may overshoot by the last
         request's size).
-    :param max_wait_ms: flush a bucket this long after its **oldest**
-        entry arrived, even if under-full — the latency a request pays
-        for the chance to be coalesced.  The default ``0`` makes the
-        coalescer work-conserving: a bucket flushes as soon as the
-        admission queue is empty, so a lone request never waits on a
-        timer, while requests that queued up behind a running flush
-        still leave together in one.  A positive value holds a bucket
-        open for company.
     :param max_queue: admission-queue capacity in requests; submits
         beyond it raise :class:`ServiceOverloadedError`.
     :param cache_bytes: result-cache payload budget (0 disables
         caching; in-flight dedup still works).
-    :param workers: pricing threads per engine, shorthand for
-        ``engine_config=EngineConfig(workers=...)``.
-    :param engine_config: full :class:`~repro.engine.EngineConfig` for
-        the engines the service owns; mutually exclusive with
-        ``workers``.
+    :param engine_config: :class:`~repro.engine.EngineConfig` for the
+        engines the service owns (pricing threads, chunking, timeouts);
+        the engine defaults when ``None``.
     :param faults: deterministic :class:`~repro.engine.faults.FaultPlan`
         handed to every engine the service builds (testing/benching the
         retry/quarantine paths under coalescing; ``None`` in
@@ -246,10 +233,8 @@ class ServiceConfig:
     """
 
     max_batch: int = 256
-    max_wait_ms: float = 0.0
     max_queue: int = 1024
     cache_bytes: int = 64 << 20
-    workers: "int | None" = None
     engine_config: "EngineConfig | None" = None
     faults: "FaultPlan | None" = None
     health: "HealthPolicy | None" = None
@@ -258,18 +243,11 @@ class ServiceConfig:
     def __post_init__(self):
         if self.max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ServiceError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_queue < 1:
             raise ServiceError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.cache_bytes < 0:
             raise ServiceError(
                 f"cache_bytes must be >= 0, got {self.cache_bytes}")
-        if self.workers is not None and self.engine_config is not None:
-            raise ServiceError("pass either workers or engine_config, not both")
-        if self.workers is not None and self.workers < 1:
-            raise ServiceError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -289,9 +267,8 @@ class _Pending:
 
 @dataclass
 class _Bucket:
-    """Requests with one batch_key accumulating toward a flush."""
+    """Requests with one batch_key drained together toward a flush."""
 
-    deadline: float
     entries: "list[_Pending]" = field(default_factory=list)
     n_options: int = 0
 
@@ -340,10 +317,6 @@ class PricingService:
                        if self.config.chaos is not None else None)
         self._closed = False
         self._final_stats: "Snapshot | None" = None
-        self._max_wait_s = self.config.max_wait_ms / 1000.0
-        self._engine_config = self.config.engine_config
-        if self.config.workers is not None:
-            self._engine_config = EngineConfig(workers=self.config.workers)
         self._thread = threading.Thread(target=self._run,
                                         name="repro-service-coalescer",
                                         daemon=True)
@@ -517,58 +490,47 @@ class PricingService:
             self._inflight.pop(key, None)
         return None
 
-    def _expire(self, pending: _Pending, where: str) -> None:
-        self.metrics.deadline_expired.inc()
-        if not pending.future.done():
-            elapsed_ms = (time.monotonic() - pending.enqueued) * 1e3
-            pending.future.set_exception(DeadlineExceededError(
-                f"deadline of {pending.request.deadline_ms:g} ms expired "
-                f"after {elapsed_ms:.1f} ms {where}"))
-
     def _claim(self, pending: "_Pending | None",
-               now: float, where: str) -> "_Pending | None":
-        """Resolve who actually owns a queue/bucket slot right now.
+               now: float) -> "_Pending | None":
+        """Resolve who actually owns a queued slot as its flush starts.
 
-        Walks the primary-then-followers chain: an entry whose
-        deadline has expired fails with
-        :class:`DeadlineExceededError` (before any engine work — the
-        deadline contract), an entry whose future was cancelled is
-        dropped, and in either case the oldest waiting follower is
-        promoted.  The returned entry has been *claimed*
+        The one place expiry and cancellation are settled.  Walks the
+        primary-then-followers chain: an entry whose future was
+        cancelled is dropped, an entry whose deadline has expired fails
+        with :class:`DeadlineExceededError` (before any engine work —
+        the deadline contract), and in either case the oldest waiting
+        follower is promoted.  The returned entry has been *claimed*
         (``set_running_or_notify_cancel``), so it can no longer be
         cancelled out from under the flush.
         """
         while pending is not None:
-            if pending.deadline is not None and pending.deadline <= now:
-                self._expire(pending, where)
-                pending = self._promote_follower(pending.key)
-                continue
             if not pending.future.set_running_or_notify_cancel():
                 self.metrics.cancelled.inc()
-                pending = self._promote_follower(pending.key)
-                continue
-            return pending
+            elif pending.deadline is not None and pending.deadline <= now:
+                self.metrics.deadline_expired.inc()
+                pending.future.set_exception(DeadlineExceededError(
+                    f"deadline of {pending.request.deadline_ms:g} ms "
+                    f"expired after {(now - pending.enqueued) * 1e3:.1f} ms "
+                    f"in the admission queue"))
+            else:
+                return pending
+            pending = self._promote_follower(pending.key)
         return None
 
     # -- the coalescer thread ----------------------------------------------
 
     def _run(self) -> None:
-        buckets: "dict[tuple, _Bucket]" = {}
+        """Work-conserving coalescing: never wait on a timer for company.
+
+        Block for one entry, drain the backlog behind it, group it by
+        ``batch_key`` (a group reaching ``max_batch`` options flushes at
+        once, ``full``), then flush every remaining group — ``drain``
+        when a drain or close token came in, else ``deadline``.  A lone
+        request therefore leaves as soon as it is dequeued, while
+        requests that queued up behind a running flush leave together.
+        """
         while True:
-            timeout = None
-            if buckets:
-                deadline = min(b.deadline for b in buckets.values())
-                timeout = max(0.0, deadline - time.monotonic())
-            try:
-                items = [self._queue.get(timeout=timeout)]
-            except queue.Empty:
-                items = []
-            # Drain the whole backlog before looking at deadlines: a
-            # request that queued up while a flush was executing has
-            # "used up" its wait in the queue, and charging that wait
-            # against its bucket's deadline would flush post-backlog
-            # buckets one or two requests at a time — the opposite of
-            # coalescing.  Backlog first, deadlines after.
+            items = [self._queue.get()]
             while True:
                 try:
                     items.append(self._queue.get_nowait())
@@ -576,6 +538,7 @@ class PricingService:
                     break
             closing = False
             drains: "list[_DrainToken]" = []
+            buckets: "dict[tuple, _Bucket]" = {}
             for item in items:
                 if item is _CLOSE:
                     closing = True
@@ -583,46 +546,21 @@ class PricingService:
                 if isinstance(item, _DrainToken):
                     drains.append(item)
                     continue
-                now = time.monotonic()
-                # In-queue expiry/cancellation is settled here, before
-                # the entry costs a bucket slot or any engine work;
-                # promoted followers are re-checked the same way.
-                while item is not None:
-                    if item.future.cancelled():
-                        self.metrics.cancelled.inc()
-                        item = self._promote_follower(item.key)
-                    elif (item.deadline is not None
-                            and item.deadline <= now):
-                        self._expire(item, "in the admission queue")
-                        item = self._promote_follower(item.key)
-                    else:
-                        break
-                if item is None:
-                    continue
                 bkey = item.request.batch_key
                 bucket = buckets.get(bkey)
                 if bucket is None:
-                    bucket = buckets[bkey] = _Bucket(
-                        deadline=now + self._max_wait_s)
+                    bucket = buckets[bkey] = _Bucket()
                 bucket.entries.append(item)
                 bucket.n_options += len(item.request)
-                if item.deadline is not None:
-                    # A tight deadline pulls the whole bucket forward:
-                    # flushing early beats failing the request.
-                    bucket.deadline = min(bucket.deadline, item.deadline)
                 if bucket.n_options >= self.config.max_batch:
-                    del buckets[bkey]
-                    self._flush(bucket, "full")
-            if closing or drains:
-                for bkey in list(buckets):
-                    self._flush(buckets.pop(bkey), "drain")
-                for token in drains:
-                    token.done.set()
+                    self._flush(buckets.pop(bkey), "full")
+            reason = "drain" if closing or drains else "deadline"
+            for bucket in buckets.values():
+                self._flush(bucket, reason)
+            for token in drains:
+                token.done.set()
             if closing:
                 return
-            now = time.monotonic()
-            for bkey in [k for k, b in buckets.items() if b.deadline <= now]:
-                self._flush(buckets.pop(bkey), "deadline")
 
     def _merge(self, entries: "list[_Pending]") -> PricingRequest:
         """One engine-shaped request covering every bucket entry.
@@ -656,7 +594,7 @@ class PricingService:
         key = self._engine_key(request)
         engine = self._engines.get(key)
         if engine is None:
-            config = self._engine_config
+            config = self.config.engine_config
             if request.backend != "auto":
                 config = replace(config if config is not None
                                  else EngineConfig(),
@@ -672,15 +610,12 @@ class PricingService:
 
     def _flush(self, bucket: _Bucket, reason: str) -> None:
         flush_start = time.monotonic()
-        # Claim every entry up front: in-bucket expiry and caller-side
+        # Claim every entry up front: expiry and caller-side
         # cancellation settle here (promoting in-flight followers), and
         # a claimed future can no longer be cancelled mid-flush.
-        entries: "list[_Pending]" = []
-        for pending in bucket.entries:
-            claimed = self._claim(pending, flush_start,
-                                  "in a coalescing bucket")
-            if claimed is not None:
-                entries.append(claimed)
+        entries = [claimed for pending in bucket.entries
+                   if (claimed := self._claim(pending, flush_start))
+                   is not None]
         if not entries:
             return
         merged = self._merge(entries)

@@ -159,6 +159,7 @@ class SweepRunner:
     # -- service pool ----------------------------------------------------
 
     def _service_for(self, condition: dict):
+        from ..engine import EngineConfig
         from ..engine.faults import FaultPlan
         from ..service import PricingService
 
@@ -171,13 +172,8 @@ class SweepRunner:
                 config = dc_replace(config, faults=FaultPlan.random(
                     fault_seed, max(condition["n_options"], 64)))
             if workers is not None:
-                if config.engine_config is not None:
-                    config = dc_replace(
-                        config,
-                        engine_config=dc_replace(config.engine_config,
-                                                 workers=workers))
-                else:
-                    config = dc_replace(config, workers=workers)
+                config = dc_replace(config, engine_config=dc_replace(
+                    config.engine_config or EngineConfig(), workers=workers))
             service = PricingService(config, tracer=self.tracer)
             self._services[key] = service
         return service

@@ -10,6 +10,7 @@ semantics, and supervised shard restart.
 
 import json
 import socket
+import threading
 import time
 
 import numpy as np
@@ -182,44 +183,88 @@ class TestParityAgainstInProcessService:
                         [f.as_dict() for f in want.failures]
 
 
+class _PinnedShard:
+    """One shard whose coalescer a slow request pins for ``HANG_S``.
+
+    The coalescer drains its queue eagerly, so a request only waits in
+    the shard while a flush occupies the service thread: a seeded
+    ``HANG`` fault on an option index only the 8-option slow request
+    carries pins its flush for seconds whatever the pricing speed.  The
+    shard's ``flushes`` and ``cache_misses`` counters are the admission
+    barriers — the former increments when the slow flush *starts*, the
+    latter only after a request is really queued.
+    """
+
+    HANG_S = 5.0
+
+    def __init__(self, **service_overrides):
+        slow_options = tuple(generate_batch(n_options=8, seed=40).options)
+        hang = FaultPlan.single(len(slow_options) - 1, FaultKind.HANG,
+                                hang_s=self.HANG_S)
+        self.config = ServeConfig(shards=1, service=ServiceConfig(
+            faults=hang, **service_overrides))
+        self.slow = PricingRequest(options=slow_options, steps=STEPS)
+        self.outcome = {}
+        self.threads = []
+
+    def submit(self, server, name, request) -> None:
+        """Price ``request`` on a thread of its own; see ``outcome``."""
+        def run():
+            with ServeClient(server.host, server.port) as peer:
+                try:
+                    self.outcome[name] = peer.price(request)
+                except BaseException as exc:  # noqa: BLE001
+                    self.outcome[name] = exc
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        self.threads.append(thread)
+
+    def pin(self, server, client) -> None:
+        """Start the slow request and wait until its flush runs."""
+        self.submit(server, "slow", self.slow)
+        assert wait_until(lambda: shard_stat(client, "flushes") >= 1,
+                          timeout_s=60)
+
+    def join(self) -> None:
+        for thread in self.threads:
+            thread.join(timeout=120)
+        assert not isinstance(self.outcome["slow"], BaseException)
+
+
+def shard_stat(client, name):
+    (document,) = client.stats()["shards"]
+    return (document or {}).get(name, 0)
+
+
 class TestDeadlinePriorityCancel:
     def test_deadline_expires_across_the_wire(self):
-        config = ServeConfig(
-            shards=1, service=ServiceConfig(max_wait_ms=200.0))
-        with PricingServer(config) as server:
+        pinned = _PinnedShard()
+        with PricingServer(pinned.config) as server:
             with ServeClient(server.host, server.port) as client:
+                pinned.pin(server, client)
                 options = tuple(generate_batch(n_options=2,
                                                seed=3).options)
+                # queued behind the hung flush, it outlives its budget
                 request = PricingRequest(options=options, steps=STEPS,
-                                         deadline_ms=0.01)
+                                         deadline_ms=100.0)
                 with pytest.raises(DeadlineExceededError):
                     client.price(request)
+                assert shard_stat(client, "deadline_expired") == 1
+            pinned.join()
 
     def test_high_priority_sheds_queued_normal(self):
         """Under a full admission queue, a high-priority request is
         admitted by shedding the oldest queued normal one — visible
         through the network as typed errors on the shed side.
 
-        The coalescer drains its queue eagerly, so the queue only
-        fills while a flush occupies the service thread: a seeded
-        ``HANG`` fault on an option index only the slow request
-        carries pins its flush for seconds whatever the pricing speed,
-        then three small ones exercise the queue-full / shed paths
-        deterministically (the ``flushes`` and ``cache_misses``
-        counters are the admission barriers — the former increments
-        when the slow flush *starts*, the latter only after a request
-        is really queued)."""
-        import threading
-
-        slow_options = tuple(generate_batch(n_options=8, seed=40).options)
+        The queue only fills while the slow request pins the shard's
+        coalescer; three small ones then exercise the queue-full /
+        shed paths deterministically."""
         # the small requests merge into flushes of at most 4 options,
         # so only the slow request's flush reaches the hung index
-        hang = FaultPlan.single(len(slow_options) - 1, FaultKind.HANG,
-                                hang_s=5.0)
-        config = ServeConfig(shards=1, service=ServiceConfig(
-            max_batch=2, max_wait_ms=50.0, max_queue=1, faults=hang))
-        with PricingServer(config) as server:
-            slow = PricingRequest(options=slow_options, steps=STEPS)
+        pinned = _PinnedShard(max_batch=2, max_queue=1)
+        with PricingServer(pinned.config) as server:
 
             def opts(seed):
                 return tuple(generate_batch(n_options=2, seed=seed).options)
@@ -228,30 +273,9 @@ class TestDeadlinePriorityCancel:
             normal_2 = PricingRequest(options=opts(42), steps=STEPS)
             high = PricingRequest(options=opts(43), steps=STEPS,
                                   priority="high")
-            outcome = {}
-
-            def submit(name, request):
-                with ServeClient(server.host, server.port) as peer:
-                    try:
-                        outcome[name] = peer.price(request)
-                    except BaseException as exc:  # noqa: BLE001
-                        outcome[name] = exc
-
-            def shard_stat(client, name):
-                (document,) = client.stats()["shards"]
-                return (document or {}).get(name, 0)
-
-            t_slow = threading.Thread(target=submit, args=("slow", slow),
-                                      daemon=True)
-            t_slow.start()
             with ServeClient(server.host, server.port) as client:
-                assert wait_until(
-                    lambda: shard_stat(client, "flushes") >= 1,
-                    timeout_s=60)
-                t_first = threading.Thread(target=submit,
-                                           args=("first", normal_1),
-                                           daemon=True)
-                t_first.start()
+                pinned.pin(server, client)
+                pinned.submit(server, "first", normal_1)
                 assert wait_until(
                     lambda: shard_stat(client, "cache_misses") >= 2,
                     timeout_s=60)
@@ -261,35 +285,39 @@ class TestDeadlinePriorityCancel:
                 # ... but high priority is admitted by shedding
                 result = client.price(high)
             assert result.prices.shape == (2,)
-            t_first.join(timeout=60)
-            t_slow.join(timeout=120)
-            assert isinstance(outcome["first"], ServiceOverloadedError)
-            assert not isinstance(outcome["slow"], BaseException)
+            pinned.join()
+            assert isinstance(pinned.outcome["first"],
+                              ServiceOverloadedError)
 
     def test_client_disconnect_cancels_the_request(self):
-        config = ServeConfig(
-            shards=1, service=ServiceConfig(max_wait_ms=500.0))
-        with PricingServer(config) as server:
+        pinned = _PinnedShard()
+        with PricingServer(pinned.config) as server:
             options = tuple(generate_batch(n_options=2, seed=5).options)
             request = PricingRequest(options=options, steps=STEPS)
             body = json.dumps(request.to_dict()).encode("utf-8")
-            raw = socket.create_connection((server.host, server.port),
-                                           timeout=30)
-            raw.sendall(
-                b"POST /v1/price HTTP/1.1\r\n"
-                b"Host: x\r\nContent-Type: application/json\r\n"
-                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
-                + body)
-            # abandon the connection while the request coalesces
-            time.sleep(0.05)
-            raw.close()
             with ServeClient(server.host, server.port) as client:
+                pinned.pin(server, client)
+                raw = socket.create_connection((server.host, server.port),
+                                               timeout=30)
+                raw.sendall(
+                    b"POST /v1/price HTTP/1.1\r\n"
+                    b"Host: x\r\nContent-Type: application/json\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode(
+                        "ascii")
+                    + body)
+                # abandon the connection while the request is queued
+                # behind the hung flush
+                assert wait_until(
+                    lambda: shard_stat(client, "cache_misses") >= 2,
+                    timeout_s=60)
+                raw.close()
                 assert wait_until(
                     lambda: client.stats()["serve"]["cancelled"] >= 1,
                     timeout_s=30)
                 # the tier keeps serving afterwards
                 survivor = client.price(request)
             assert survivor.prices.shape == (2,)
+            pinned.join()
 
 
 class TestShardFailureIsolation:

@@ -80,7 +80,7 @@ def _payload(request, result):
 def baseline(options):
     """Chaos-free reference results, keyed by (round, request index)."""
     reference = {}
-    with PricingService(ServiceConfig(max_batch=8, max_wait_ms=1.0)) as calm:
+    with PricingService(ServiceConfig(max_batch=8)) as calm:
         for round_index in range(ROUNDS + 1):
             for i, request in enumerate(_workload(options, round_index)):
                 result = calm.submit(request).result(timeout=WAIT)
@@ -95,7 +95,7 @@ class TestChaosAcceptance:
         plan = ChaosPlan.random(seed)
         assert plan.active()
         config = ServiceConfig(
-            max_batch=8, max_wait_ms=1.0,
+            max_batch=8,
             chaos=plan,
             # generous restart budget: the wedge schedule may fire many
             # times across rounds and exhaustion pins UNHEALTHY (its
@@ -182,10 +182,10 @@ class TestChaosAcceptance:
 class TestTargetedChaos:
     def test_corrupted_cache_entry_is_detected_and_recomputed(self, options):
         plan = ChaosPlan(seed=1, corrupt_every=1)
-        config = ServiceConfig(max_wait_ms=0.0, chaos=plan)
+        config = ServiceConfig(chaos=plan)
         request = PricingRequest(options=options[:3], steps=STEPS,
                                  kernel=KERNEL, backend="numpy")
-        with PricingService(ServiceConfig(max_wait_ms=0.0)) as calm:
+        with PricingService() as calm:
             want = calm.submit(request).result(timeout=WAIT).prices
         with PricingService(config) as service:
             first = service.submit(request).result(timeout=WAIT)
@@ -201,7 +201,7 @@ class TestTargetedChaos:
 
     def test_eviction_storm_forces_recompute_with_parity(self, options):
         plan = ChaosPlan(seed=2, evict_every=1)
-        config = ServiceConfig(max_wait_ms=0.0, chaos=plan)
+        config = ServiceConfig(chaos=plan)
         request = PricingRequest(options=options[:2], steps=STEPS,
                                  kernel=KERNEL, backend="numpy")
         with PricingService(config) as service:
@@ -213,7 +213,7 @@ class TestTargetedChaos:
 
     def test_stall_schedule_delays_but_does_not_fail(self, options):
         plan = ChaosPlan(seed=3, stall_every=1, stall_s=0.002)
-        config = ServiceConfig(max_wait_ms=0.0, chaos=plan)
+        config = ServiceConfig(chaos=plan)
         request = PricingRequest(options=options[:2], steps=STEPS,
                                  kernel=KERNEL, backend="numpy")
         with PricingService(config) as service:

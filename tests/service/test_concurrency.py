@@ -77,7 +77,7 @@ class TestBitwiseDeterminism:
             direct = engine.run(list(batch), STEPS)
         assert not direct.failures  # transient faults heal on retry
 
-        config = ServiceConfig(max_batch=8, max_wait_ms=5.0,
+        config = ServiceConfig(max_batch=8,
                                max_queue=4 * N_OPTIONS * N_THREADS,
                                faults=FaultPlan.random(fault_seed,
                                                        N_OPTIONS))
@@ -111,7 +111,7 @@ class TestBitwiseDeterminism:
         with PricingEngine(kernel=KERNEL) as engine:
             direct = engine.run(list(batch), STEPS)
 
-        config = ServiceConfig(max_batch=8, max_wait_ms=5.0,
+        config = ServiceConfig(max_batch=8,
                                max_queue=4 * N_OPTIONS * N_THREADS)
         with PricingService(config) as service:
             bad_future = service.submit(poisoned)

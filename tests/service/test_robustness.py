@@ -47,44 +47,65 @@ def _request(options, **overrides):
     return PricingRequest(**kwargs)
 
 
-class _BlockedFlush:
-    """Hold the coalescer inside ``_flush`` until released."""
+class _Clock:
+    """Stand-in for the service module's ``time``: a monotonic clock
+    that moves only when a test advances it."""
 
-    def __init__(self, service):
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        original = service._flush
+    sleep = staticmethod(time.sleep)
 
-        def blocked(bucket, reason):
-            self.entered.set()
-            assert self.release.wait(WAIT)
-            original(bucket, reason)
+    def __init__(self):
+        self.now = time.monotonic()
 
-        service._flush = blocked
+    def monotonic(self) -> float:
+        return self.now
 
 
 class TestDeadlines:
-    def test_in_bucket_expiry_without_engine_work(self, batch):
-        # the bucket would wait 10s; a 1 ms budget must expire first,
-        # before any flush claims an engine
-        config = ServiceConfig(max_wait_ms=10_000.0)
-        with PricingService(config) as service:
-            future = service.submit(_request(batch[:2], deadline_ms=1.0))
-            with pytest.raises(DeadlineExceededError, match="expired"):
-                future.result(timeout=WAIT)
-            deadline = time.monotonic() + WAIT
-            while (service.stats().deadline_expired == 0
-                   and time.monotonic() < deadline):
-                time.sleep(0.005)
-            stats = service.close()
-        assert stats.deadline_expired == 1
-        assert stats.flushes == 0  # no engine work was spent on it
+    def test_in_bucket_expiry_without_engine_work(self, batch, monkeypatch,
+                                                  blocked_flush):
+        # Two batch_key groups leave one drain pass in order; the second
+        # group's request is live when drained, but its budget runs out
+        # while the first group flushes.  Its own claim must fail it
+        # before any engine is built for its key.
+        clock = _Clock()
+        monkeypatch.setattr(service_module, "time", clock)
+        kernels = []
+        real_run = service_module.run_request
 
-    def test_in_queue_expiry_while_coalescer_is_busy(self, batch):
-        config = ServiceConfig(max_wait_ms=0.0)
-        service = PricingService(config)
+        def spy(engine, request, deadline_s=None):
+            kernels.append(request.kernel)
+            if len(kernels) == 2:  # the first group of the drained pair
+                clock.now += 1.0
+            return real_run(engine, request, deadline_s=deadline_s)
+
+        monkeypatch.setattr(service_module, "run_request", spy)
+        service = PricingService()
         try:
-            gate = _BlockedFlush(service)
+            gate = blocked_flush(service)
+            filler = service.submit(_request(batch[:1]))
+            assert gate.entered.wait(WAIT)
+            first = service.submit(_request(batch[1:3]))
+            doomed = service.submit(_request(batch[3:5], kernel="iv_a",
+                                             deadline_ms=5.0))
+            gate.release.set()
+            with pytest.raises(DeadlineExceededError,
+                               match="in the admission queue"):
+                doomed.result(timeout=WAIT)
+            assert first.result(timeout=WAIT).prices.shape == (2,)
+            assert filler.result(timeout=WAIT).prices.shape == (1,)
+            engine_kernels = {key[0] for key in service._engines}
+        finally:
+            stats = service.close()
+        assert kernels == [KERNEL, KERNEL]
+        assert engine_kernels == {KERNEL}  # no engine work for iv_a
+        assert stats.deadline_expired == 1
+        assert stats.flushes == 2
+
+    def test_in_queue_expiry_while_coalescer_is_busy(self, batch,
+                                                     blocked_flush):
+        service = PricingService()
+        try:
+            gate = blocked_flush(service)
             filler = service.submit(_request(batch[:1]))
             assert gate.entered.wait(WAIT)
             # queued behind the blocked flush with a budget already spent
@@ -110,7 +131,7 @@ class TestDeadlines:
             return original(engine, request, deadline_s=deadline_s)
 
         monkeypatch.setattr(service_module, "run_request", spy)
-        with PricingService(ServiceConfig(max_wait_ms=1.0)) as service:
+        with PricingService() as service:
             result = service.submit(
                 _request(batch[:2], deadline_ms=5_000.0)).result(timeout=WAIT)
         assert result.prices.shape == (2,)
@@ -126,7 +147,7 @@ class TestDeadlines:
             return original(engine, request, deadline_s=deadline_s)
 
         monkeypatch.setattr(service_module, "run_request", spy)
-        with PricingService(ServiceConfig(max_wait_ms=1.0)) as service:
+        with PricingService() as service:
             service.submit(_request(batch[:2])).result(timeout=WAIT)
         assert seen["deadline_s"] is None
 
@@ -139,23 +160,28 @@ class TestDeadlines:
 
 
 class TestCancellation:
-    def test_cancel_before_flush_is_honoured(self, batch):
-        config = ServiceConfig(max_wait_ms=10_000.0)
-        with PricingService(config) as service:
+    def test_cancel_before_flush_is_honoured(self, batch, blocked_flush):
+        with PricingService() as service:
+            gate = blocked_flush(service)
             future = service.submit(_request(batch[:2]))
+            assert gate.entered.wait(WAIT)  # its flush has not claimed it
             assert future.cancel()
+            gate.release.set()
             assert service.drain(timeout_s=WAIT)
             assert future.cancelled()
             assert service.stats().cancelled == 1
             assert service.stats().flushes == 0
 
-    def test_cancelled_primary_promotes_its_follower(self, batch):
-        config = ServiceConfig(max_wait_ms=10_000.0)
-        with PricingService(config) as service:
+    def test_cancelled_primary_promotes_its_follower(self, batch,
+                                                     blocked_flush):
+        with PricingService() as service:
+            gate = blocked_flush(service)
             primary = service.submit(_request(batch[:3]))
+            assert gate.entered.wait(WAIT)  # its flush has not claimed it
             follower = service.submit(_request(batch[:3]))
             assert service.stats().inflight_joins == 1
             assert primary.cancel()
+            gate.release.set()
             assert service.drain(timeout_s=WAIT)
             result = follower.result(timeout=WAIT)
             stats = service.close()
@@ -166,11 +192,11 @@ class TestCancellation:
 
 
 class TestPriorityShedding:
-    def test_high_priority_sheds_the_oldest_normal_entry(self, batch):
-        config = ServiceConfig(max_wait_ms=0.0, max_queue=3)
-        service = PricingService(config)
+    def test_high_priority_sheds_the_oldest_normal_entry(self, batch,
+                                                         blocked_flush):
+        service = PricingService(ServiceConfig(max_queue=3))
         try:
-            gate = _BlockedFlush(service)
+            gate = blocked_flush(service)
             filler = service.submit(_request(batch[:1]))
             assert gate.entered.wait(WAIT)
             normals = [service.submit(_request(batch[i:i + 1]))
@@ -190,11 +216,11 @@ class TestPriorityShedding:
         assert stats.shed == 1
         assert stats.rejected == 1
 
-    def test_high_priority_with_nothing_to_shed_is_rejected(self, batch):
-        config = ServiceConfig(max_wait_ms=0.0, max_queue=2)
-        service = PricingService(config)
+    def test_high_priority_with_nothing_to_shed_is_rejected(
+            self, batch, blocked_flush):
+        service = PricingService(ServiceConfig(max_queue=2))
         try:
-            gate = _BlockedFlush(service)
+            gate = blocked_flush(service)
             filler = service.submit(_request(batch[:1]))
             assert gate.entered.wait(WAIT)
             highs = [service.submit(_request(batch[i:i + 1], priority="high"))
@@ -216,7 +242,6 @@ class TestHealthAndSupervision:
         # every merged flush fails; individual re-runs still answer, so
         # callers see correct prices while health walks to UNHEALTHY
         config = ServiceConfig(
-            max_wait_ms=0.0,
             chaos=ChaosPlan(seed=7, fail_every=1),
             health=HealthPolicy(unhealthy_consecutive_failures=3),
         )
@@ -242,7 +267,6 @@ class TestHealthAndSupervision:
 
     def test_wedge_restarts_engine_until_budget_exhausted(self, batch):
         config = ServiceConfig(
-            max_wait_ms=0.0,
             chaos=ChaosPlan(seed=7, wedge_every=1),
             health=HealthPolicy(restart_limit=1, restart_backoff_s=0.0),
         )
@@ -269,7 +293,6 @@ class TestHealthAndSupervision:
         # threads: the service replaces that engine instead of pricing
         # on a short-handed one
         config = ServiceConfig(
-            max_wait_ms=0.0,
             faults=FaultPlan.single(0, FaultKind.HANG, hang_s=1.0),
             engine_config=EngineConfig(workers=2, chunk_options=2,
                                        chunk_timeout_s=0.2,
@@ -291,7 +314,6 @@ class TestHealthAndSupervision:
         monkeypatch.setattr(service_module.time, "sleep",
                             lambda s: slept.append(s))
         config = ServiceConfig(
-            max_wait_ms=0.0,
             chaos=ChaosPlan(seed=7, wedge_every=1),
             health=HealthPolicy(restart_limit=2, restart_backoff_s=0.01),
         )
@@ -302,18 +324,22 @@ class TestHealthAndSupervision:
         assert 0.02 in slept  # second restart: doubled
 
     def test_ready_reflects_open_and_health(self, batch):
-        service = PricingService(ServiceConfig(max_wait_ms=1.0))
+        service = PricingService()
         assert service.ready
         service.close()
         assert not service.ready
 
 
 class TestDrain:
-    def test_drain_flushes_partial_buckets_and_stays_open(self, batch):
-        config = ServiceConfig(max_wait_ms=60_000.0)
-        with PricingService(config) as service:
+    def test_drain_flushes_partial_buckets_and_stays_open(self, batch,
+                                                          blocked_flush):
+        with PricingService() as service:
+            gate = blocked_flush(service)
+            service.submit(_request(batch[6:7]))
+            assert gate.entered.wait(WAIT)
             futures = [service.submit(_request(batch[i:i + 1]))
                        for i in range(3)]
+            gate.release_after_next_token()
             assert service.drain(timeout_s=WAIT)
             assert all(future.done() for future in futures)
             assert not service.closed
@@ -324,6 +350,7 @@ class TestDrain:
             stats = service.close()
         assert late_result.prices.shape == (2,)
         assert stats.flush_drain >= 1
+        assert {f.result().batch_options for f in futures} == {3}
         prices = np.array([f.result().prices[0] for f in futures])
         assert np.all(np.isfinite(prices))
 
@@ -332,10 +359,10 @@ class TestDrain:
         service.close()
         assert service.drain(timeout_s=1.0)
 
-    def test_drain_timeout_returns_false(self, batch):
-        service = PricingService(ServiceConfig(max_wait_ms=0.0))
+    def test_drain_timeout_returns_false(self, batch, blocked_flush):
+        service = PricingService()
         try:
-            gate = _BlockedFlush(service)
+            gate = blocked_flush(service)
             future = service.submit(_request(batch[:1]))
             assert gate.entered.wait(WAIT)
             assert service.drain(timeout_s=0.05) is False
@@ -405,8 +432,7 @@ class TestQueueDepthGauge:
         # max_batch=1: every request full-flushes inside the dequeue
         # loop, i.e. *before* any end-of-loop bookkeeping could paper
         # over a stale gauge.
-        config = ServiceConfig(max_wait_ms=10_000.0, max_batch=1)
-        service = PricingService(config)
+        service = PricingService(ServiceConfig(max_batch=1))
         try:
             probe = _FlushDepthProbe(service)
             filler = service.submit(_request(batch[:1]))
@@ -426,17 +452,14 @@ class TestQueueDepthGauge:
         finally:
             service.close()
 
-    def test_gauge_returns_to_zero_after_drain(self, batch):
+    def test_gauge_returns_to_zero_after_drain(self, batch, blocked_flush):
         # Exercise the transitions that bypass a plain dequeue: a shed
         # (removed by a high-priority put), a caller-side cancel and an
         # in-queue deadline expiry all must leave the gauge honest.
-        # max_batch=1: the filler flushes as it is dequeued instead of
-        # waiting out the 10 s coalescing window.
-        config = ServiceConfig(max_wait_ms=10_000.0, max_queue=2,
-                               max_batch=1)
+        config = ServiceConfig(max_queue=2, max_batch=1)
         service = PricingService(config)
         try:
-            gate = _BlockedFlush(service)
+            gate = blocked_flush(service)
             filler = service.submit(_request(batch[:1]))
             assert gate.entered.wait(WAIT)
             shed_me = service.submit(_request(batch[1:2]))
@@ -452,8 +475,6 @@ class TestQueueDepthGauge:
             cancel_me.cancel()
             gate.release.set()
             filler.result(timeout=WAIT)
-            # drain() flushes the high entry's bucket (its 10 s
-            # coalescing window would otherwise still be open).
             assert service.drain(timeout_s=WAIT)
             high.result(timeout=WAIT)
             assert service.metrics.queue_depth.value() == 0.0
@@ -475,7 +496,7 @@ class TestPostFlushDeadlineSymmetry:
             return result
 
         monkeypatch.setattr(service_module, "run_request", slow_run)
-        with PricingService(ServiceConfig(max_wait_ms=0.0)) as service:
+        with PricingService() as service:
             future = service.submit(_request(batch[:2], deadline_ms=60.0))
             with pytest.raises(DeadlineExceededError,
                                match="flush was executing"):

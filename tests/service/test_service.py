@@ -41,6 +41,12 @@ def _single_requests(batch, **overrides):
     return [PricingRequest(options=(option,), **kwargs) for option in batch]
 
 
+def _filler(batch):
+    """A request distinct from every ``_single_requests`` entry (other
+    depth) to occupy the coalescer while the real ones queue up."""
+    return PricingRequest(options=batch[:1], steps=STEPS + 2, kernel=KERNEL)
+
+
 def _poison_option():
     """An Option whose NaN spot bypassed construction validation."""
     bad = object.__new__(Option)
@@ -54,17 +60,23 @@ def _poison_option():
 
 
 class TestCoalescing:
-    def test_full_flush_merges_the_bucket(self, batch, direct_prices):
-        config = ServiceConfig(max_batch=len(batch), max_wait_ms=5000.0)
+    def test_full_flush_merges_the_bucket(self, batch, direct_prices,
+                                          blocked_flush):
+        config = ServiceConfig(max_batch=len(batch))
         with PricingService(config) as service:
+            gate = blocked_flush(service)
+            filler = service.submit(_filler(batch))
+            assert gate.entered.wait(WAIT)
             futures = [service.submit(request)
                        for request in _single_requests(batch)]
+            gate.release.set()
             results = [future.result(timeout=WAIT) for future in futures]
+            assert filler.result(timeout=WAIT).batch_options == 1
             stats = service.stats()
         prices = np.array([result.prices[0] for result in results])
         assert np.array_equal(prices, direct_prices)
-        assert stats.flushes == stats.flush_full == 1
-        assert stats.mean_flush_options == len(batch)
+        assert stats.flushes == 2  # the filler's, then one full flush
+        assert stats.flush_full == 1
         for result in results:
             assert isinstance(result, ServiceResult)
             assert result.route == "service"
@@ -73,7 +85,9 @@ class TestCoalescing:
 
     def test_deadline_flush_releases_underfull_bucket(self, batch,
                                                       direct_prices):
-        config = ServiceConfig(max_batch=10_000, max_wait_ms=20.0)
+        # under-full buckets leave once the queue is empty: no timer,
+        # no close() needed
+        config = ServiceConfig(max_batch=10_000)
         with PricingService(config) as service:
             futures = [service.submit(request)
                        for request in _single_requests(batch[:4])]
@@ -83,36 +97,29 @@ class TestCoalescing:
         assert np.array_equal(prices, direct_prices[:4])
         assert stats.flush_deadline >= 1 and stats.flush_full == 0
 
-    def test_close_drains_partial_buckets(self, batch, direct_prices):
-        config = ServiceConfig(max_batch=10_000, max_wait_ms=60_000.0)
-        service = PricingService(config)
+    def test_close_drains_partial_buckets(self, batch, direct_prices,
+                                          blocked_flush):
+        service = PricingService(ServiceConfig(max_batch=10_000))
+        gate = blocked_flush(service)
+        service.submit(_filler(batch))
+        assert gate.entered.wait(WAIT)
         futures = [service.submit(request)
                    for request in _single_requests(batch)]
+        gate.release_after_next_token()
         stats = service.close()
         prices = np.array([future.result(timeout=WAIT).prices[0]
                            for future in futures])
         assert np.array_equal(prices, direct_prices)
-        assert stats.flush_drain >= 1
+        assert stats.flush_drain == 1
 
     def test_default_config_never_holds_a_lone_request(self, batch):
-        # Work-conserving default: once the queue is empty a bucket
-        # flushes, so the coalescer never blocks on a bucket timer —
-        # every queue wait it makes is an untimed wait for new work.
-        assert ServiceConfig().max_wait_ms == 0.0
+        # Work-conserving: once the queue is empty a bucket flushes,
+        # so a lone request never waits for company.
         with PricingService() as service:
-            timeouts = []
-            get = service._queue.get
-
-            def recording_get(timeout=None):
-                timeouts.append(timeout)
-                return get(timeout=timeout)
-
-            service._queue.get = recording_get
             for request in _single_requests(batch[:3]):
                 result = service.submit(request).result(timeout=WAIT)
                 assert result.batch_options == 1
             stats = service.stats()
-        assert timeouts and set(timeouts) == {None}
         assert stats.flushes == stats.flush_deadline == 3
 
     def test_backlog_behind_a_running_flush_leaves_in_one_flush(
@@ -144,17 +151,22 @@ class TestCoalescing:
         prices = np.array([result.prices[0] for result in results])
         assert np.array_equal(prices, expected)  # bitwise, rtol=0
 
-    def test_mixed_depths_share_a_bucket(self, batch):
+    def test_mixed_depths_share_a_bucket(self, batch, blocked_flush):
         # steps is not part of batch_key: one flush covers both depths
-        config = ServiceConfig(max_batch=len(batch), max_wait_ms=5000.0)
+        config = ServiceConfig(max_batch=len(batch))
         shallow = _single_requests(batch[:4], steps=STEPS)
         deep = _single_requests(batch[4:], steps=STEPS * 2)
         with PricingService(config) as service:
+            gate = blocked_flush(service)
+            service.submit(_filler(batch))
+            assert gate.entered.wait(WAIT)
             futures = [service.submit(request)
                        for request in shallow + deep]
+            gate.release.set()
             results = [future.result(timeout=WAIT) for future in futures]
             stats = service.stats()
-        assert stats.flushes == 1
+        assert stats.flushes == 2  # the filler's, then both depths in one
+        assert {result.batch_options for result in results} == {len(batch)}
         with PricingEngine(kernel=KERNEL) as engine:
             expected = engine.run(
                 list(batch), [STEPS] * 4 + [STEPS * 2] * 4).prices
@@ -165,7 +177,7 @@ class TestCoalescing:
 class TestCache:
     def test_identical_request_is_a_hit(self, batch, direct_prices):
         request = PricingRequest(options=batch, steps=STEPS, kernel=KERNEL)
-        with PricingService(ServiceConfig(max_wait_ms=1.0)) as service:
+        with PricingService() as service:
             cold = service.submit(request).result(timeout=WAIT)
             hit = service.submit(request).result(timeout=WAIT)
             stats = service.stats()
@@ -178,7 +190,7 @@ class TestCache:
 
     def test_cached_arrays_are_read_only(self, batch):
         request = PricingRequest(options=batch, steps=STEPS, kernel=KERNEL)
-        with PricingService(ServiceConfig(max_wait_ms=1.0)) as service:
+        with PricingService() as service:
             service.submit(request).result(timeout=WAIT)
             hit = service.submit(request).result(timeout=WAIT)
         with pytest.raises(ValueError):
@@ -186,7 +198,7 @@ class TestCache:
 
     def test_zero_budget_disables_caching(self, batch):
         request = PricingRequest(options=batch, steps=STEPS, kernel=KERNEL)
-        config = ServiceConfig(max_wait_ms=1.0, cache_bytes=0)
+        config = ServiceConfig(cache_bytes=0)
         with PricingService(config) as service:
             first = service.submit(request).result(timeout=WAIT)
             second = service.submit(request).result(timeout=WAIT)
@@ -194,12 +206,15 @@ class TestCache:
         assert not first.cache_hit and not second.cache_hit
         assert stats.cache_hits == 0 and stats.cache_misses == 2
 
-    def test_identical_inflight_request_joins(self, batch, direct_prices):
+    def test_identical_inflight_request_joins(self, batch, direct_prices,
+                                              blocked_flush):
         request = PricingRequest(options=batch, steps=STEPS, kernel=KERNEL)
-        config = ServiceConfig(max_batch=10_000, max_wait_ms=250.0)
-        with PricingService(config) as service:
+        with PricingService() as service:
+            gate = blocked_flush(service)
             first = service.submit(request)
-            second = service.submit(request)  # still buckets: joins
+            assert gate.entered.wait(WAIT)
+            second = service.submit(request)  # first still in flight: joins
+            gate.release.set()
             primary = first.result(timeout=WAIT)
             follower = second.result(timeout=WAIT)
             stats = service.stats()
@@ -215,7 +230,7 @@ class TestGreeks:
         expected = api.greeks(list(batch), steps=STEPS, kernel=KERNEL)
         request = PricingRequest(options=batch, steps=STEPS, kernel=KERNEL,
                                  task="greeks")
-        with PricingService(ServiceConfig(max_wait_ms=1.0)) as service:
+        with PricingService() as service:
             cold = service.submit(request).result(timeout=WAIT)
             hit = service.submit(request).result(timeout=WAIT)
         assert hit.cache_hit
@@ -230,7 +245,7 @@ class TestGreeks:
                               task="greeks")
         bumped = PricingRequest(options=batch, steps=STEPS, kernel=KERNEL,
                                 task="greeks", bump_vol=5e-3)
-        with PricingService(ServiceConfig(max_wait_ms=1.0)) as service:
+        with PricingService() as service:
             first = service.submit(base).result(timeout=WAIT)
             second = service.submit(bumped).result(timeout=WAIT)
         assert not second.cache_hit
@@ -238,16 +253,22 @@ class TestGreeks:
 
 
 class TestFailureScoping:
-    def test_poisoned_request_fails_alone(self, batch, direct_prices):
+    def test_poisoned_request_fails_alone(self, batch, direct_prices,
+                                          blocked_flush):
         requests = _single_requests(batch, strict=False)
         poisoned = PricingRequest(options=(_poison_option(),), steps=STEPS,
                                   kernel=KERNEL, strict=False)
-        config = ServiceConfig(max_batch=len(batch) + 1, max_wait_ms=5000.0)
+        config = ServiceConfig(max_batch=len(batch) + 1)
         with PricingService(config) as service:
+            gate = blocked_flush(service)
+            service.submit(_filler(batch))
+            assert gate.entered.wait(WAIT)
             futures = [service.submit(request) for request in requests]
             bad_future = service.submit(poisoned)
+            gate.release.set()
             results = [future.result(timeout=WAIT) for future in futures]
             bad = bad_future.result(timeout=WAIT)
+        assert bad.batch_options == len(batch) + 1  # coalesced with all
         # the poisoned request sees its own NaN + record, index-local
         assert np.isnan(bad.prices[0])
         assert len(bad.failures) == 1 and bad.failures[0].index == 0
@@ -256,23 +277,27 @@ class TestFailureScoping:
             assert not result.failures
             assert result.prices[0] == expected
 
-    def test_strict_caller_gets_the_exception(self, batch):
+    def test_strict_caller_gets_the_exception(self, batch, blocked_flush):
         clean = _single_requests(batch[:2])
         poisoned = PricingRequest(options=(_poison_option(),), steps=STEPS,
                                   kernel=KERNEL, strict=True)
-        config = ServiceConfig(max_batch=3, max_wait_ms=5000.0)
-        with PricingService(config) as service:
+        with PricingService(ServiceConfig(max_batch=3)) as service:
+            gate = blocked_flush(service)
+            service.submit(_filler(batch))
+            assert gate.entered.wait(WAIT)
             futures = [service.submit(request) for request in clean]
             bad_future = service.submit(poisoned)
+            gate.release.set()
             for future in futures:
-                assert not future.result(timeout=WAIT).failures
+                result = future.result(timeout=WAIT)
+                assert not result.failures and result.batch_options == 3
             with pytest.raises(FinanceError):
                 bad_future.result(timeout=WAIT)
 
     def test_failed_slices_are_never_cached(self, batch):
         poisoned = PricingRequest(options=(_poison_option(),), steps=STEPS,
                                   kernel=KERNEL, strict=False)
-        with PricingService(ServiceConfig(max_wait_ms=1.0)) as service:
+        with PricingService() as service:
             first = service.submit(poisoned).result(timeout=WAIT)
             second = service.submit(poisoned).result(timeout=WAIT)
             stats = service.stats()
@@ -283,7 +308,7 @@ class TestFailureScoping:
 
 class TestAdmission:
     def test_overload_rejects_with_backpressure_error(self, batch):
-        config = ServiceConfig(max_batch=1, max_wait_ms=0.0, max_queue=1)
+        config = ServiceConfig(max_batch=1, max_queue=1)
         service = PricingService(config)
         started, release = threading.Event(), threading.Event()
         original = service._flush
@@ -324,7 +349,7 @@ class TestAdmission:
 
 class TestLifecycle:
     def test_close_is_idempotent_and_freezes_stats(self, batch):
-        service = PricingService(ServiceConfig(max_wait_ms=1.0))
+        service = PricingService()
         request = PricingRequest(options=batch, steps=STEPS, kernel=KERNEL)
         service.submit(request).result(timeout=WAIT)
         first = service.close()
@@ -339,7 +364,7 @@ class TestLifecycle:
 
         previous = set_registry(MetricsRegistry())
         try:
-            with PricingService(ServiceConfig(max_wait_ms=1.0)) as service:
+            with PricingService() as service:
                 request = PricingRequest(options=batch, steps=STEPS,
                                          kernel=KERNEL)
                 service.submit(request).result(timeout=WAIT)
@@ -356,16 +381,9 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("kwargs", [
         {"max_batch": 0},
-        {"max_wait_ms": -1.0},
         {"max_queue": 0},
         {"cache_bytes": -1},
-        {"workers": 0},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ServiceError):
             ServiceConfig(**kwargs)
-
-    def test_workers_and_engine_config_conflict(self):
-        from repro.engine import EngineConfig
-        with pytest.raises(ServiceError, match="not both"):
-            ServiceConfig(workers=2, engine_config=EngineConfig(workers=2))

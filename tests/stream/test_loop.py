@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.engine import EngineConfig
 from repro.engine.faults import FaultPlan
 from repro.errors import StreamError
 from repro.finance import generate_batch
@@ -46,7 +47,8 @@ def _source(book, n_steps=TICK_STEPS, seed=5):
 
 
 def _service_config(**overrides):
-    kwargs = dict(max_batch=N_INSTRUMENTS, max_wait_ms=0.0, workers=1)
+    kwargs = dict(max_batch=N_INSTRUMENTS,
+                  engine_config=EngineConfig(workers=1))
     kwargs.update(overrides)
     return ServiceConfig(**kwargs)
 

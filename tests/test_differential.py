@@ -56,7 +56,7 @@ def fault_plan(seed):
 def fronts(request):
     """The service and the one-shard server, under one fault plan."""
     seed = request.param
-    config = ServiceConfig(faults=fault_plan(seed), max_wait_ms=0.0)
+    config = ServiceConfig(faults=fault_plan(seed))
     with PricingService(config) as service, \
             PricingServer(ServeConfig(shards=1, service=config)) as server, \
             ServeClient(server.host, server.port) as client:
