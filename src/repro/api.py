@@ -74,8 +74,7 @@ from __future__ import annotations
 
 import atexit
 import threading
-from dataclasses import (dataclass, field, fields as dc_fields,
-                         replace as dc_replace)
+from dataclasses import dataclass, field, replace as dc_replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -90,7 +89,7 @@ from .engine.scheduler import KERNELS
 from .engine.stats import EngineStats
 from .errors import ReproError
 from .finance.lattice import LatticeFamily
-from .finance.options import Option
+from .finance.options import OPTION_ROWS, Option, OptionArrays
 
 __all__ = [
     "BatchResult",
@@ -151,12 +150,15 @@ _OPTION_FLOAT_FIELDS = ("spot", "strike", "rate", "volatility",
                         "maturity", "dividend_yield")
 
 
-def _option_to_dict(option: Option) -> dict:
-    data = {name: _hex(getattr(option, name))
-            for name in _OPTION_FLOAT_FIELDS}
-    data["option_type"] = option.option_type.value
-    data["exercise"] = option.exercise.value
-    return data
+def _options_to_wire(columns: OptionArrays) -> "list[dict]":
+    """One wire dict per option, read straight off the column block."""
+    *floats, sign, american = columns.block.tolist()
+    return [
+        {**{name: value.hex()
+            for name, value in zip(_OPTION_FLOAT_FIELDS, values)},
+         "option_type": "call" if code > 0 else "put",
+         "exercise": "american" if early else "european"}
+        for *values, code, early in zip(*floats, sign, american)]
 
 
 def _option_from_dict(data: dict) -> Option:
@@ -195,7 +197,7 @@ PRIORITIES = ("normal", "high")
 # the canonical request object
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PricingRequest:
     """One pricing request — the schema every route shares.
 
@@ -205,7 +207,12 @@ class PricingRequest:
     :func:`run_request` executes one on any
     :class:`~repro.engine.PricingEngine`.
 
-    :param options: the contracts to price (stored as a tuple).
+    :param options: the contracts to price, a sequence of
+        :class:`~repro.finance.Option`.  Pass either ``options`` or
+        ``columns``.
+    :param columns: the same contracts as one
+        :class:`~repro.finance.OptionArrays` column block (the stream
+        path builds requests this way; no :class:`Option` is made).
     :param steps: tree depth — one ``int`` for the whole request, or
         one per option.
     :param kernel: ``"iv_a"``, ``"iv_b"`` or ``"reference"``.
@@ -243,37 +250,88 @@ class PricingRequest:
         entries to admit high-priority work before rejecting it.
         Delivery knob: not part of the batch/cache identity.
 
+    The request holds its contracts only as the read-only ``columns``
+    block, built once at construction: its length, coalescing (the
+    :class:`~repro.service.PricingService` concatenates blocks), the
+    cache key, chunking and every parameter builder read it, and a
+    pickled request carries that one array.  A caller's writeable
+    block is copied and validated; a read-only block (another
+    request's, a position book's drain) is shared as already vetted.
+    :attr:`options` materialises :class:`Option` objects on each read,
+    for callers that want them.
+
     Validation happens at construction, so a request that builds is a
     request the engine will accept — services can coalesce requests
     into shared flushes without one request's bad arguments failing
     its neighbours at run time.
     """
 
-    options: "tuple[Option, ...]"
-    steps: "int | tuple[int, ...]" = 1024
-    kernel: str = "reference"
-    precision: str = Precision.DOUBLE
-    family: LatticeFamily = LatticeFamily.CRR
-    task: str = "price"
-    strict: bool = True
-    workers: "int | None" = None
-    backend: str = "auto"
-    bump_vol: float = 1e-3
-    bump_rate: float = 1e-4
-    deadline_ms: "float | None" = None
-    priority: str = "normal"
+    columns: OptionArrays
+    steps: "int | tuple[int, ...]"
+    kernel: str
+    precision: str
+    family: LatticeFamily
+    task: str
+    strict: bool
+    workers: "int | None"
+    backend: str
+    bump_vol: float
+    bump_rate: float
+    deadline_ms: "float | None"
+    priority: str
 
-    def __post_init__(self):
-        options = tuple(self.options)
-        if not options:
-            raise ReproError("PricingRequest needs at least one option")
-        for option in options:
-            if not isinstance(option, Option):
+    def __init__(self, options: "Sequence[Option] | None" = None,
+                 steps: "int | Sequence[int]" = 1024,
+                 kernel: str = "reference",
+                 precision: str = Precision.DOUBLE,
+                 family: LatticeFamily = LatticeFamily.CRR,
+                 task: str = "price", strict: bool = True,
+                 workers: "int | None" = None, backend: str = "auto",
+                 bump_vol: float = 1e-3, bump_rate: float = 1e-4,
+                 deadline_ms: "float | None" = None,
+                 priority: str = "normal", *,
+                 columns: "OptionArrays | None" = None):
+        if (options is None) == (columns is None):
+            raise ReproError("PricingRequest takes options or columns")
+        if columns is None:
+            options = tuple(options)
+            for option in options:
+                if not isinstance(option, Option):
+                    raise ReproError(
+                        f"options must be repro Option instances, got "
+                        f"{type(option).__name__}")
+            # an Option validated itself; one that bypassed that
+            # fails only its own chunk in the engine (quarantine)
+            columns = OptionArrays.from_options(options)
+        elif not isinstance(columns, OptionArrays):
+            raise ReproError(
+                f"columns must be an OptionArrays block, got "
+                f"{type(columns).__name__}")
+        elif columns.block.flags.writeable:
+            # a caller's block: own a copy and validate it before it is
+            # frozen (a read-only block is another request's, shared)
+            block = np.array(columns.block, dtype=np.float64)
+            if block.ndim != 2 or len(block) != len(OPTION_ROWS):
                 raise ReproError(
-                    f"options must be repro Option instances, got "
-                    f"{type(option).__name__}")
-        object.__setattr__(self, "options", options)
+                    f"columns must be a ({len(OPTION_ROWS)}, n) block, "
+                    f"got shape {block.shape}")
+            columns = OptionArrays(block).validate()
+        if not len(columns):
+            raise ReproError("PricingRequest needs at least one option")
+        columns.block.setflags(write=False)
+        init = object.__setattr__
+        for name, value in (
+                ("columns", columns), ("steps", steps), ("kernel", kernel),
+                ("precision", precision), ("family", family),
+                ("task", task), ("strict", strict), ("workers", workers),
+                ("backend", backend), ("bump_vol", bump_vol),
+                ("bump_rate", bump_rate), ("deadline_ms", deadline_ms),
+                ("priority", priority)):
+            init(self, name, value)
+        self._check()
 
+    def _check(self) -> None:
+        n = len(self.columns)
         if self.kernel not in KERNELS:
             raise ReproError(
                 f"kernel must be one of {KERNELS}, got {self.kernel!r}")
@@ -304,10 +362,10 @@ class PricingRequest:
             flat = (steps,)
         else:
             steps = tuple(int(s) for s in self.steps)
-            if len(steps) != len(options):
+            if len(steps) != n:
                 raise ReproError(
                     f"per-option steps length {len(steps)} does not match "
-                    f"{len(options)} options")
+                    f"{n} options")
             flat = steps
         object.__setattr__(self, "steps", steps)
         min_steps = self.min_steps(self.kernel, self.task)
@@ -342,13 +400,18 @@ class PricingRequest:
         return 2 if kernel in ("iv_a", "iv_b") else 1
 
     def __len__(self) -> int:
-        return len(self.options)
+        return len(self.columns)
+
+    @property
+    def options(self) -> "tuple[Option, ...]":
+        """The contracts as :class:`Option` objects, made on each read."""
+        return self.columns.to_options()
 
     def steps_per_option(self) -> "tuple[int, ...]":
         """The depth of every option, expanded from a scalar if needed."""
         if isinstance(self.steps, tuple):
             return self.steps
-        return (self.steps,) * len(self.options)
+        return (self.steps,) * len(self.columns)
 
     @property
     def batch_key(self) -> tuple:
@@ -381,7 +444,7 @@ class PricingRequest:
         """
         return {
             "schema": WIRE_REQUEST_SCHEMA,
-            "options": [_option_to_dict(option) for option in self.options],
+            "options": _options_to_wire(self.columns),
             "steps": (list(self.steps) if isinstance(self.steps, tuple)
                       else int(self.steps)),
             "kernel": self.kernel,
@@ -548,9 +611,8 @@ class BatchResult:
             "failures": tuple(FailureRecord.from_dict(entry)
                               for entry in data.get("failures", ())),
         }
-        column_fields = {f.name for f in dc_fields(klass)}
         for column in RESULT_COLUMNS:
-            if column in data and column in column_fields:
+            if column in data and hasattr(klass, column):
                 kwargs[column] = _array_from_hex(data[column])
         if issubclass(klass, ServiceResult):
             kwargs["cache_hit"] = bool(data.get("cache_hit", False))
@@ -595,16 +657,22 @@ class GreeksResult(BatchResult):
     rho: np.ndarray = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ServiceResult(BatchResult):
     """What a :class:`repro.service.PricingService` future resolves to.
 
     Carries the payload of the request's ``task`` (``prices`` always;
     the greeks columns only for ``task="greeks"``) plus how the
-    request was served.
+    request was served.  The payload is one read-only ``block`` of
+    rows in :data:`RESULT_COLUMNS` order (one row for a price task,
+    six for greeks) and each column reads as a row view of it, so a
+    held result costs one array, not six — and the service's result
+    cache stores that same block instead of a copy.
 
     :param prices: values in *request* order (the service scatters the
         coalesced batch back per request).
+    :param delta: ``delta``…``rho``: the greeks columns
+        (``task="greeks"`` only); pass all five or none.
     :param cache_hit: the result came straight from the content-keyed
         cache (or from a computation another in-flight identical
         request already started).
@@ -613,17 +681,50 @@ class ServiceResult(BatchResult):
         flush; 0 on a pure cache hit — no engine ran).
     :param wait_s: time the request spent queued + coalescing before
         its flush started (0.0 on a cache hit).
+    :param block: the payload rows themselves, shared as is (instead
+        of the column arguments).
     """
 
-    prices: np.ndarray = None  # type: ignore[assignment]
-    delta: "np.ndarray | None" = None
-    gamma: "np.ndarray | None" = None
-    theta: "np.ndarray | None" = None
-    vega: "np.ndarray | None" = None
-    rho: "np.ndarray | None" = None
-    cache_hit: bool = False
-    batch_options: int = 0
-    wait_s: float = 0.0
+    block: np.ndarray
+    cache_hit: bool
+    batch_options: int
+    wait_s: float
+
+    def __init__(self, route: str = "engine",
+                 stats: "EngineStats | None" = None,
+                 failures: "tuple[FailureRecord, ...]" = (),
+                 prices: "np.ndarray | None" = None,
+                 delta: "np.ndarray | None" = None,
+                 gamma: "np.ndarray | None" = None,
+                 theta: "np.ndarray | None" = None,
+                 vega: "np.ndarray | None" = None,
+                 rho: "np.ndarray | None" = None,
+                 cache_hit: bool = False, batch_options: int = 0,
+                 wait_s: float = 0.0, *,
+                 block: "np.ndarray | None" = None):
+        if block is None:
+            greeks = (delta, gamma, theta, vega, rho)
+            rows = [prices]
+            if any(column is not None for column in greeks):
+                rows.extend(greeks)
+            block = np.array(rows, dtype=np.float64)
+            block.setflags(write=False)
+        init = object.__setattr__
+        for name, value in (
+                ("route", route), ("stats", stats), ("failures", failures),
+                ("block", block), ("cache_hit", cache_hit),
+                ("batch_options", batch_options), ("wait_s", wait_s)):
+            init(self, name, value)
+
+    prices = property(lambda self: self.block[0])
+    delta = property(lambda self: self._greek(1))
+    gamma = property(lambda self: self._greek(2))
+    theta = property(lambda self: self._greek(3))
+    vega = property(lambda self: self._greek(4))
+    rho = property(lambda self: self._greek(5))
+
+    def _greek(self, row: int) -> "np.ndarray | None":
+        return self.block[row] if len(self.block) > 1 else None
 
 
 #: ``type`` discriminator -> result class for the wire protocol.
@@ -669,11 +770,11 @@ def run_request(engine: PricingEngine, request: PricingRequest,
     flush.
     """
     if request.task == "greeks":
-        return engine.run_greeks(list(request.options), request.steps,
+        return engine.run_greeks(request.columns, request.steps,
                                  bump_vol=request.bump_vol,
                                  bump_rate=request.bump_rate,
                                  deadline_s=deadline_s)
-    return engine.run(list(request.options), request.steps,
+    return engine.run(request.columns, request.steps,
                       deadline_s=deadline_s)
 
 

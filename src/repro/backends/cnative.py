@@ -284,14 +284,13 @@ class CNativeBackend(KernelBackend):
                                   (np.dtype(np.float32), "f32",
                                    ctypes.c_float)):
             roll = getattr(library, f"roll_{tag}")
-            pointer = ctypes.POINTER(ctype)
-            double_p = ctypes.POINTER(ctypes.c_double)
-            roll.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                             pointer, pointer, pointer, pointer, pointer,
-                             pointer, pointer, pointer, pointer,
-                             double_p, double_p, double_p, ctypes.c_int]
+            # arrays travel as bare addresses of arrays converted to
+            # the kernel's dtype on the Python side; a typed-pointer
+            # cast per argument cost as much as a small roll
+            roll.argtypes = ([ctypes.c_long] * 3 + [ctypes.c_void_p] * 12
+                             + [ctypes.c_int])
             roll.restype = None
-            self._rolls[dtype] = (roll, pointer)
+            self._rolls[dtype] = roll
         self.compile_seconds = time.perf_counter() - started
 
     @classmethod
@@ -301,13 +300,11 @@ class CNativeBackend(KernelBackend):
     def roll_levels(self, leaf_s, leaf_v, pulldown, rp, rq, strike, sign,
                     steps: int, workspace=None, capture: bool = False):
         leaf_v = np.ascontiguousarray(leaf_v)
-        leaf_s = np.asarray(leaf_s)
-        if not leaf_s.flags.c_contiguous:
-            leaf_s = np.ascontiguousarray(leaf_s)
         n, cols = leaf_v.shape
         dtype = leaf_v.dtype
+        leaf_s = np.ascontiguousarray(leaf_s, dtype=dtype)
         try:
-            roll, pointer = self._rolls[dtype]
+            roll = self._rolls[dtype]
         except KeyError:
             raise BackendUnavailableError(
                 f"cnative backend has no kernel for dtype {dtype}") from None
@@ -322,23 +319,20 @@ class CNativeBackend(KernelBackend):
         level1 = np.empty((n, 2), dtype=np.float64) if capture else None
         level2 = np.empty((n, 3), dtype=np.float64) if capture else None
 
-        def column(values):
-            return np.ascontiguousarray(
+        columns: "list[np.ndarray]" = []  # alive until the call returns
+
+        def column(values) -> int:
+            array = np.ascontiguousarray(
                 np.asarray(values, dtype=dtype).reshape(-1))
+            columns.append(array)
+            return array.ctypes.data
 
-        def as_pointer(array):
-            return array.ctypes.data_as(pointer)
-
-        double_p = ctypes.POINTER(ctypes.c_double)
-        null = ctypes.cast(None, double_p)
-        roll(ctypes.c_long(n), ctypes.c_long(steps),
-             ctypes.c_long(leaf_s.shape[1]),
-             as_pointer(leaf_s), as_pointer(leaf_v),
-             as_pointer(column(pulldown)), as_pointer(column(rp)),
-             as_pointer(column(rq)), as_pointer(column(strike)),
-             as_pointer(column(sign)), as_pointer(s), as_pointer(v),
-             prices.ctypes.data_as(double_p),
-             level1.ctypes.data_as(double_p) if capture else null,
-             level2.ctypes.data_as(double_p) if capture else null,
-             ctypes.c_int(1 if capture else 0))
+        roll(n, steps, leaf_s.shape[1],
+             leaf_s.ctypes.data, leaf_v.ctypes.data,
+             column(pulldown), column(rp), column(rq), column(strike),
+             column(sign), s.ctypes.data, v.ctypes.data,
+             prices.ctypes.data,
+             level1.ctypes.data if capture else None,
+             level2.ctypes.data if capture else None,
+             1 if capture else 0)
         return prices, level1, level2

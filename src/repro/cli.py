@@ -44,6 +44,18 @@ __all__ = ["main", "build_parser"]
 _BACKEND_CHOICES = ("auto", "numpy", "cnative")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1 (bad values exit 2 with usage)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for testing and docs)."""
     parser = argparse.ArgumentParser(
@@ -303,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_verb.add_argument("--limit", type=int, default=None,
                             help="execute at most this many cells, then "
                                  "stop (the store stays resumable)")
-        p_verb.add_argument("--workers", type=int, default=None,
+        p_verb.add_argument("--workers", type=_positive_int, default=None,
                             help="engine pricing threads for the shared "
                                  "service (default: inline, one thread)")
     p_sw_status = sweep_sub.add_parser(

@@ -34,8 +34,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import ReproError
-from ..finance.lattice import LatticeFamily
-from ..finance.options import Option
+from ..finance.lattice import (LatticeArrays, LatticeFamily,
+                               build_lattice_arrays)
+from ..finance.options import Option, OptionArrays, option_arrays
 from .faithful_math import EXACT_DOUBLE, MathProfile
 from .kernel_a import build_leaves_a_batch, build_params_a
 from .kernel_b import build_params_b
@@ -80,13 +81,14 @@ def _roll_backend(backend: "KernelBackend | None") -> "KernelBackend":
 
 
 def simulate_kernel_b_batch(
-    options: Sequence[Option],
+    options: "Sequence[Option] | OptionArrays",
     steps: int,
     profile: MathProfile = EXACT_DOUBLE,
     family: LatticeFamily = LatticeFamily.CRR,
     workspace: "Workspace | None" = None,
     capture_levels: bool = False,
     backend: "KernelBackend | None" = None,
+    lattice: "LatticeArrays | None" = None,
 ) -> np.ndarray:
     """Kernel IV.B arithmetic, vectorised across the whole batch.
 
@@ -94,6 +96,9 @@ def simulate_kernel_b_batch(
     (work-item).  The backward loop narrows the active column range
     exactly as work-items ``k > t`` idle out in the kernel.
 
+    :param options: a sequence of :class:`~repro.finance.Option` or
+        their :class:`~repro.finance.OptionArrays` column block (the
+        engine's form; gathered once either way).
     :param workspace: optional preallocated tile pool; pass the same
         one across calls (e.g. per engine worker) to price a stream of
         chunks without reallocating the ``S``/``V`` tiles.
@@ -105,6 +110,10 @@ def simulate_kernel_b_batch(
         ``steps >= 3``.
     :param backend: the :class:`~repro.backends.KernelBackend` to run
         the backward roll on; ``None`` pins the NumPy reference path.
+    :param lattice: the options' prebuilt
+        :func:`~repro.finance.lattice.build_lattice_arrays` result, when
+        the caller needs it too (the fused greeks task); built here
+        otherwise.
     """
     if steps < 2:
         raise ReproError("kernel IV.B needs at least 2 steps")
@@ -119,7 +128,8 @@ def simulate_kernel_b_batch(
             "use kernel IV.A (host-computed leaves) for other families"
         )
     backend = _roll_backend(backend)
-    params = build_params_b(options, steps, family)
+    params = build_params_b(option_arrays(options), steps, family,
+                            lattice=lattice)
     cast = profile.cast
 
     s0 = cast(params[:, 0:1])
@@ -144,13 +154,14 @@ def simulate_kernel_b_batch(
 
 
 def simulate_kernel_a_batch(
-    options: Sequence[Option],
+    options: "Sequence[Option] | OptionArrays",
     steps: int,
     profile: MathProfile = EXACT_DOUBLE,
     family: LatticeFamily = LatticeFamily.CRR,
     workspace: "Workspace | None" = None,
     capture_levels: bool = False,
     backend: "KernelBackend | None" = None,
+    lattice: "LatticeArrays | None" = None,
 ) -> np.ndarray:
     """Kernel IV.A arithmetic, vectorised across the batch.
 
@@ -159,6 +170,8 @@ def simulate_kernel_a_batch(
     one level.  Option pipelining does not change the arithmetic, so
     the vectorised form prices each option's tree directly.
 
+    :param options: contracts or their column block (see
+        :func:`simulate_kernel_b_batch`).
     :param workspace: optional preallocated tile pool (see
         :func:`simulate_kernel_b_batch`).
     :param capture_levels: when True, return
@@ -166,6 +179,9 @@ def simulate_kernel_a_batch(
         :func:`simulate_kernel_b_batch`; requires ``steps >= 3``.
     :param backend: the :class:`~repro.backends.KernelBackend` to run
         the backward roll on; ``None`` pins the NumPy reference path.
+    :param lattice: prebuilt lattice arrays (see
+        :func:`simulate_kernel_b_batch`); one build serves both the
+        parameter rows and the leaves.
     """
     if steps < 2:
         raise ReproError("kernel IV.A needs at least 2 steps")
@@ -174,7 +190,10 @@ def simulate_kernel_a_batch(
     if not options:
         raise ReproError("empty option batch")
     backend = _roll_backend(backend)
-    params = build_params_a(options, steps, family)
+    options = option_arrays(options)
+    if lattice is None:
+        lattice = build_lattice_arrays(options, steps, family)
+    params = build_params_a(options, steps, family, lattice=lattice)
     cast = profile.cast
 
     rp = cast(params[:, 0:1])
@@ -185,7 +204,8 @@ def simulate_kernel_a_batch(
 
     # Host-exact leaves (S and V), cast into the device's working
     # precision when "uploaded".
-    leaf_s, leaf_v = build_leaves_a_batch(options, steps, family)
+    leaf_s, leaf_v = build_leaves_a_batch(options, steps, family,
+                                          lattice=lattice)
     prices, level1, level2 = backend.roll_levels(
         cast(leaf_s), cast(leaf_v), pulldown, rp, rq, strike, sign, steps,
         workspace=workspace, capture=capture_levels)

@@ -32,8 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ReproError
-from ..finance.lattice import LatticeFamily, build_lattice_arrays
-from ..finance.options import Option, option_arrays
+from ..finance.lattice import (LatticeArrays, LatticeFamily,
+                               build_lattice_arrays)
+from ..finance.options import Option, OptionArrays, option_arrays
 from ..hls import GlobalAccess, KernelIR, LiveSet, OpCount
 from ..opencl import kernel_metadata
 
@@ -90,9 +91,10 @@ def level_of_slot_table(n_steps: int) -> np.ndarray:
 
 
 def build_params_a(
-    options: Sequence[Option],
+    options: "Sequence[Option] | OptionArrays",
     steps: int,
     family: LatticeFamily = LatticeFamily.CRR,
+    lattice: "LatticeArrays | None" = None,
 ) -> np.ndarray:
     """Host-side parameter rows ``[rp, rq, pulldown, strike, sign]``.
 
@@ -101,13 +103,18 @@ def build_params_a(
     runs on the device).  Array-native; validates its arguments (same
     :class:`~repro.errors.ReproError` messages as the simulators)
     before anything is allocated.
+    ``options`` may be :class:`~repro.finance.Option` objects or their
+    :class:`~repro.finance.OptionArrays` block; ``lattice`` is their
+    prebuilt :func:`~repro.finance.lattice.build_lattice_arrays` result
+    when the caller already has it (built here otherwise).
     """
     if steps < 2:
         raise ReproError("kernel IV.A needs at least 2 steps")
     if not options:
         raise ReproError("empty option batch")
     fields = option_arrays(options)
-    lattice = build_lattice_arrays(options, steps, family)
+    if lattice is None:
+        lattice = build_lattice_arrays(fields, steps, family)
     rows = np.empty((len(options), len(PARAM_FIELDS)), dtype=np.float64)
     rows[:, 0] = lattice.discounted_p_up
     rows[:, 1] = lattice.discounted_p_down
@@ -118,17 +125,20 @@ def build_params_a(
 
 
 def build_leaves_a_batch(
-    options: Sequence[Option],
+    options: "Sequence[Option] | OptionArrays",
     steps: int,
     family: LatticeFamily = LatticeFamily.CRR,
+    lattice: "LatticeArrays | None" = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Host-computed leaf matrices ``(S[N], V[N])`` for a whole batch.
 
     Row ``i`` holds option ``i``'s ``steps + 1`` leaves; both matrices
     are built with a single broadcast expression, no per-option loop.
+    ``options``/``lattice`` as for :func:`build_params_a`.
     """
     fields = option_arrays(options)
-    lattice = build_lattice_arrays(options, steps, family)
+    if lattice is None:
+        lattice = build_lattice_arrays(fields, steps, family)
     k = np.arange(steps + 1, dtype=np.float64)
     prices = (
         fields.spot[:, None]

@@ -28,8 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ReproError
-from ..finance.lattice import LatticeFamily, build_lattice_arrays
-from ..finance.options import Option, option_arrays
+from ..finance.lattice import (LatticeArrays, LatticeFamily,
+                               build_lattice_arrays)
+from ..finance.options import Option, OptionArrays, option_arrays
 from ..hls import (
     GlobalAccess,
     KernelIR,
@@ -50,9 +51,10 @@ PARAM_FIELDS_B = ("s0", "up", "down", "rp", "rq", "strike", "sign")
 
 
 def build_params_b(
-    options: Sequence[Option],
+    options: "Sequence[Option] | OptionArrays",
     steps: int,
     family: LatticeFamily = LatticeFamily.CRR,
+    lattice: "LatticeArrays | None" = None,
 ) -> np.ndarray:
     """Host-side parameter rows of :data:`PARAM_FIELDS_B`.
 
@@ -64,6 +66,10 @@ def build_params_b(
     rejected here: the in-device leaf expression ``s0 * u**(N-2k)``
     and the ``d * S`` roll both assume the CRR recombination
     ``u*d = 1``, so this kernel models the paper's CRR-only hardware.
+    ``options`` may be :class:`~repro.finance.Option` objects or their
+    :class:`~repro.finance.OptionArrays` block; ``lattice`` is their
+    prebuilt :func:`~repro.finance.lattice.build_lattice_arrays` result
+    when the caller already has it (built here otherwise).
     """
     if steps < 2:
         raise ReproError("kernel IV.B needs at least 2 steps")
@@ -76,7 +82,8 @@ def build_params_b(
             "use kernel IV.A (host-computed leaves) for other families"
         )
     fields = option_arrays(options)
-    lattice = build_lattice_arrays(options, steps, family)
+    if lattice is None:
+        lattice = build_lattice_arrays(fields, steps, family)
     rows = np.empty((len(options), len(PARAM_FIELDS_B)), dtype=np.float64)
     rows[:, 0] = fields.spot
     rows[:, 1] = lattice.up

@@ -76,7 +76,7 @@ from ..errors import (
     ReproError,
 )
 from ..finance.lattice import LatticeFamily
-from ..finance.options import Option
+from ..finance.options import Option, OptionArrays
 from ..obs.metrics import LayerMetrics
 from ..obs.trace import NULL_SPAN, Tracer, as_tracer
 from .faults import FaultPlan
@@ -201,6 +201,11 @@ class GreeksEngineResult:
     failures: "tuple[FailureRecord, ...]" = field(default=())
 
 
+def _group_size(groups: dict) -> int:
+    """Options across the ``steps -> (indices, columns)`` groups."""
+    return sum(len(indices) for indices, _ in groups.values())
+
+
 def _per_second(count: float, wall_time_s: float) -> float:
     """A run's throughput (infinite for a run too fast to clock)."""
     return count / wall_time_s if wall_time_s > 0.0 else float("inf")
@@ -271,6 +276,7 @@ class PricingEngine:
         # instance attribute (not a lock) is the right scope.
         self._active_policy = self._policy
         self._workspace = Workspace()  # inline path, reused across runs
+        self._metrics = LayerMetrics("engine")  # reset at every run
         self._executor: "ThreadPoolExecutor | None" = None
         self._thread_local = threading.local()
         self._thread_workspaces: "list[Workspace]" = []
@@ -363,15 +369,17 @@ class PricingEngine:
                 f"attempts: {first.error}: {first.message}")
         return result.prices
 
-    def run(self, options: Sequence[Option],
+    def run(self, options: "Sequence[Option] | OptionArrays",
             steps: "int | Sequence[int]" = 1024, *,
             deadline_s: "float | None" = None) -> EngineResult:
         """Price a stream and measure the run.
 
-        ``steps`` may be a single depth or one per option —
-        heterogeneous streams are regrouped so every chunk still takes
-        the wide vectorised path, and prices come back in input order
-        regardless of grouping.
+        ``options`` is a sequence of :class:`Option` or their
+        :class:`~repro.finance.OptionArrays` column block (what
+        :func:`repro.api.run_request` passes).  ``steps`` may be a
+        single depth or one per option — heterogeneous streams are
+        regrouped so every chunk still takes the wide vectorised path,
+        and prices come back in input order regardless of grouping.
 
         The run always completes: failures are retried, quarantined
         and reported via :attr:`EngineResult.failures` rather than
@@ -386,7 +394,6 @@ class PricingEngine:
         exactly like ``chunk_timeout_s``.
         """
         started = self._start(deadline_s)
-        options = list(options)
         groups = group_stream(options, steps)
         min_steps = 2 if self.kernel in ("iv_a", "iv_b") else 1
         for group_steps in groups:
@@ -397,12 +404,12 @@ class PricingEngine:
                     if min_steps == 2 else
                     f"steps must be >= 1, got {group_steps}"
                 )
-        prices = np.empty(len(options), dtype=np.float64)
+        prices = np.empty(_group_size(groups), dtype=np.float64)
         stats, failures = self._execute("engine.run", groups, prices,
                                         started)
         return EngineResult(prices=prices, stats=stats, failures=failures)
 
-    def run_greeks(self, options: Sequence[Option],
+    def run_greeks(self, options: "Sequence[Option] | OptionArrays",
                    steps: "int | Sequence[int]" = 512,
                    bump_vol: float = 1e-3,
                    bump_rate: float = 1e-4, *,
@@ -436,7 +443,6 @@ class PricingEngine:
             raise EngineError(f"bump_vol must be > 0, got {bump_vol}")
         if bump_rate <= 0.0:
             raise EngineError(f"bump_rate must be > 0, got {bump_rate}")
-        options = list(options)
         groups = group_stream(options, steps)
         for group_steps in groups:
             if group_steps < 3:
@@ -444,7 +450,7 @@ class PricingEngine:
                     "greeks need at least 3 steps (tree levels 0..2 must "
                     f"sit below the leaves), got {group_steps}"
                 )
-        out = np.empty((len(options), 6), dtype=np.float64)
+        out = np.empty((_group_size(groups), 6), dtype=np.float64)
         stats, failures = self._execute(
             "engine.greeks", groups, out, started,
             task="greeks_fused", group="fused",
@@ -494,7 +500,8 @@ class PricingEngine:
             ))
         n = len(out)
 
-        metrics = LayerMetrics("engine")
+        metrics = self._metrics
+        metrics.reset()
         metrics.options.inc(variants * n)
         if variants > 1:
             metrics.greeks_options.inc(n)

@@ -37,7 +37,7 @@ from ..errors import ReproError
 from ..finance.binomial import price_binomial, reference_leaves
 from ..finance.greeks import greeks_from_levels, tree_value_levels
 from ..finance.lattice import LatticeFamily, build_lattice_arrays
-from ..finance.options import Option, option_arrays
+from ..finance.options import Option, OptionArrays, option_arrays
 from .workspace import Workspace, kernel_tile_bytes
 
 __all__ = ["Chunk", "KERNELS", "TASKS", "chunk_width",
@@ -75,7 +75,8 @@ class Chunk:
 
     :param indices: positions of these options in the caller's stream
         (used to scatter prices back into input order).
-    :param options: the contracts, aligned with ``indices``.
+    :param options: the contracts' column block, aligned with
+        ``indices``.
     :param steps: tree depth shared by every option in the tile.
     :param task: what the chunk computes — one of :data:`TASKS`.
     :param group: label of the scheduling group this chunk belongs to
@@ -87,7 +88,7 @@ class Chunk:
     """
 
     indices: tuple[int, ...]
-    options: tuple[Option, ...]
+    options: OptionArrays
     steps: int
     task: str = "price"
     group: str = ""
@@ -99,39 +100,41 @@ class Chunk:
 
 
 def group_stream(
-    options: Sequence[Option],
+    options: "Sequence[Option] | OptionArrays",
     steps: "int | Sequence[int]",
-) -> "dict[int, tuple[list[int], list[Option]]]":
+) -> "dict[int, tuple[list[int], OptionArrays]]":
     """Partition a request stream into vectorisable groups.
 
     ``steps`` is either one depth for the whole stream or one per
-    option; the returned mapping is ``steps -> (indices, options)``
+    option; the returned mapping is ``steps -> (indices, columns)``
     with indices in ascending input order (so chunking preserves
-    locality and results scatter back deterministically).
+    locality and results scatter back deterministically).  Options
+    are gathered into one column block, unvalidated — the engine
+    validates each chunk, so one bad option quarantines alone.
     """
-    options = list(options)
-    if not options:
+    if not isinstance(options, OptionArrays):
+        options = OptionArrays.from_options(options)
+    n = len(options)
+    if not n:
         raise ReproError("empty option batch")
     if np.ndim(steps) == 0:
-        per_option = [int(steps)] * len(options)
-    else:
-        per_option = [int(s) for s in steps]
-        if len(per_option) != len(options):
-            raise ReproError(
-                f"per-option steps length {len(per_option)} does not match "
-                f"batch size {len(options)}"
-            )
-    groups: dict[int, tuple[list[int], list[Option]]] = {}
-    for index, (option, n) in enumerate(zip(options, per_option)):
-        indices, members = groups.setdefault(n, ([], []))
-        indices.append(index)
-        members.append(option)
+        return {int(steps): (list(range(n)), options)}
+    per_option = np.array([int(s) for s in steps], dtype=np.int64)
+    if len(per_option) != n:
+        raise ReproError(
+            f"per-option steps length {len(per_option)} does not match "
+            f"batch size {n}"
+        )
+    groups: dict[int, tuple[list[int], OptionArrays]] = {}
+    for depth in dict.fromkeys(per_option.tolist()):
+        members = np.flatnonzero(per_option == depth)
+        groups[depth] = (members.tolist(), options[members])
     return groups
 
 
 def plan_chunks(
     indices: Sequence[int],
-    options: Sequence[Option],
+    options: "Sequence[Option] | OptionArrays",
     steps: int,
     dtype,
     chunk_options: "int | None",
@@ -153,8 +156,12 @@ def plan_chunks(
     ``width`` scales the per-option footprint estimate (see
     :func:`chunk_width` — the fused greeks task prices five variants
     per option in one tile).  ``task``/``group``/``bump_*`` are
-    stamped onto every chunk unchanged.
+    stamped onto every chunk unchanged; each chunk carries a slice of
+    the group's column block.
     """
+    if not isinstance(options, OptionArrays):
+        options = OptionArrays.from_options(options)
+    indices = tuple(indices)
     total = len(options)
     if chunk_options is not None:
         rows = max(1, int(chunk_options))
@@ -166,8 +173,8 @@ def plan_chunks(
         rows = max(1, rows)
     return [
         Chunk(
-            indices=tuple(indices[lo:lo + rows]),
-            options=tuple(options[lo:lo + rows]),
+            indices=indices[lo:lo + rows],
+            options=options[lo:lo + rows],
             steps=steps,
             task=task,
             group=group,
@@ -198,10 +205,34 @@ def split_chunk(chunk: Chunk) -> "tuple[Chunk, ...]":
 
 # -- pricing one chunk -----------------------------------------------------
 
+#: Floor of the down-bumped volatility of the fused greeks task.
+_VOL_FLOOR = 1e-8
+
+
+def _greeks_variants(columns: OptionArrays, bump_vol: float,
+                    bump_rate: float) -> OptionArrays:
+    """The five variant sets of the fused greeks task, back to back.
+
+    Base, volatility ``+bump_vol``, volatility ``-bump_vol`` (floored
+    at 1e-8 to stay positive), rate ``+bump_rate`` and rate
+    ``-bump_rate``: five copies of the block with one row bumped by
+    array arithmetic — the same IEEE additions per element as bumping
+    each contract on its own.
+    """
+    n = len(columns)
+    base = columns.block
+    block = np.concatenate((base,) * 5, axis=1)
+    vol, rate = base[3], base[2]
+    block[3, n:2 * n] = vol + bump_vol
+    block[3, 2 * n:3 * n] = np.maximum(vol - bump_vol, _VOL_FLOOR)
+    block[2, 3 * n:4 * n] = rate + bump_rate
+    block[2, 4 * n:5 * n] = rate - bump_rate
+    return OptionArrays(block)
+
 
 def greeks_fused_chunk(
     kernel: str,
-    options: Sequence[Option],
+    options: "Sequence[Option] | OptionArrays",
     steps: int,
     profile,
     family: LatticeFamily,
@@ -214,9 +245,8 @@ def greeks_fused_chunk(
 
     Returns ``(n, 6)`` float64 rows
     ``[price, delta, gamma, theta, vega, rho]``.  The task concatenates
-    five variant sets — base, vol +/-``bump_vol`` (the down bump
-    floored at 1e-8), rate +/-``bump_rate`` — into *one* simulate call
-    sharing one 5x-wide workspace tile.  The kernel simulators run
+    five variant sets (:func:`_greeks_variants`) into *one* simulate
+    call sharing one 5x-wide workspace tile.  The kernel simulators run
     with ``capture_levels=True``: the value rows of tree levels 1 and
     2 are copied out of the same backward loop that produces the
     price, and :func:`repro.finance.greeks.greeks_from_levels` turns
@@ -229,34 +259,25 @@ def greeks_fused_chunk(
     of the fused tile prices variant ``p`` of option ``i`` bit for bit
     as a plain ``price`` chunk of that variant set would.
     """
-    options = list(options)
-    n = len(options)
-    floor = 1e-8  # keep the down-bumped volatility positive
-    variants = (
-        options
-        + [o.with_volatility(o.volatility + bump_vol) for o in options]
-        + [o.with_volatility(max(o.volatility - bump_vol, floor))
-           for o in options]
-        + [dc_replace(o, rate=o.rate + bump_rate) for o in options]
-        + [dc_replace(o, rate=o.rate - bump_rate) for o in options]
-    )
+    columns = option_arrays(options)
+    n = len(columns)
+    variants = _greeks_variants(columns, bump_vol, bump_rate)
     if kernel in ("iv_a", "iv_b"):
         simulate = (simulate_kernel_a_batch if kernel == "iv_a"
                     else simulate_kernel_b_batch)
+        lattice = build_lattice_arrays(variants, steps, family)
         prices, level1, level2 = simulate(
             variants, steps, profile, family, workspace=workspace,
-            capture_levels=True, backend=backend)
-        fields = option_arrays(options)
-        lattice = build_lattice_arrays(options, steps, family)
+            capture_levels=True, backend=backend, lattice=lattice)
         delta, gamma, theta = greeks_from_levels(
-            fields.spot, lattice.up, lattice.down, lattice.dt,
-            prices[:n], level1[:n], level2[:n])
+            columns.spot, lattice.up[:n], lattice.down[:n],
+            lattice.dt[:n], prices[:n], level1[:n], level2[:n])
     elif kernel == "reference":
         prices = np.empty(5 * n, dtype=np.float64)
         delta = np.empty(n, dtype=np.float64)
         gamma = np.empty(n, dtype=np.float64)
         theta = np.empty(n, dtype=np.float64)
-        for i, option in enumerate(variants):
+        for i, option in enumerate(variants.to_options()):
             price, level1, level2, params = tree_value_levels(
                 option, steps, family)
             prices[i] = price
@@ -272,7 +293,7 @@ def greeks_fused_chunk(
 
 
 def reference_chunk(
-    options: Sequence[Option],
+    options: "Sequence[Option] | OptionArrays",
     steps: int,
     family: LatticeFamily,
     dtype,
@@ -282,12 +303,14 @@ def reference_chunk(
     """The reference pricer over one chunk, bit-identical to
     :func:`~repro.finance.binomial.price_binomial` per option.
 
-    American options share one leaf build
-    (:func:`~repro.finance.binomial.reference_leaves`) and one
-    ``backend.roll_levels`` call — ``None`` pins the NumPy backend.
-    European options keep :func:`price_binomial`, because the roll
-    always applies the exercise compare.
+    The reference pricer builds its lattice per option, so the chunk
+    is materialised as :class:`Option` objects here.  American options
+    share one leaf build (:func:`~repro.finance.binomial.reference_leaves`)
+    and one ``backend.roll_levels`` call — ``None`` pins the NumPy
+    backend.  European options keep :func:`price_binomial`, because
+    the roll always applies the exercise compare.
     """
+    options = option_arrays(options).to_options()
     prices = np.empty(len(options), dtype=np.float64)
     american = [i for i, o in enumerate(options) if o.is_american]
     if american:
@@ -309,7 +332,7 @@ def reference_chunk(
 
 def price_chunk(
     kernel: str,
-    options: Sequence[Option],
+    options: "Sequence[Option] | OptionArrays",
     steps: int,
     profile_name,
     family_value: str,
@@ -328,8 +351,11 @@ def price_chunk(
     ``profile_name`` is a :class:`~repro.core.faithful_math.MathProfile`
     or its name, ``family_value`` a lattice family's enum value, and
     ``backend`` a resolved :class:`~repro.backends.KernelBackend` (or
-    ``None`` for the NumPy default).  ``workspace`` is the calling
-    thread's own tile pool; ``None`` lets the simulator allocate one.
+    ``None`` for the NumPy default).  ``options`` is the chunk's column
+    block (or a sequence of :class:`Option`); it is validated here, so
+    a bad option fails only the chunk that carries it.  ``workspace``
+    is the calling thread's own tile pool; ``None`` lets the simulator
+    allocate one.
     ``in_pool`` is accepted for compatibility and ignored: every chunk
     runs in the engine's own process.
 
@@ -352,6 +378,7 @@ def price_chunk(
         raise ReproError(f"task must be one of {TASKS}, got {task!r}")
     if faults is not None and indices is not None:
         faults.fire_before_pricing(indices, attempt)
+    options = option_arrays(options).validate()
     if task == "greeks_fused":
         rows = greeks_fused_chunk(kernel, options, steps, profile, family,
                                   bump_vol, bump_rate, workspace=workspace,

@@ -17,6 +17,8 @@ used by :mod:`repro.core.batch_sim`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["Workspace", "kernel_tile_bytes"]
@@ -46,7 +48,7 @@ class Workspace:
     def tile(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Lease the tile ``name`` with exactly ``shape`` elements."""
         dtype = np.dtype(dtype)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.dtype != dtype or buf.size < count:
             buf = np.empty(count, dtype=dtype)

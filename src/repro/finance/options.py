@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "OptionType",
     "ExerciseStyle",
     "Option",
+    "OPTION_ROWS",
     "OptionArrays",
     "option_arrays",
     "intrinsic_value",
@@ -164,85 +166,136 @@ class Option:
         return self.spot / self.strike
 
 
+#: Rows of an :class:`OptionArrays` block, in order: the six contract
+#: and market floats, the option-type sign (+1 call, -1 put) and the
+#: exercise code (1.0 American, 0.0 European).
+OPTION_ROWS = ("spot", "strike", "rate", "volatility", "maturity",
+               "dividend_yield", "sign", "american")
+_FLOAT_ROWS = 6
+_POSITIVE_ROWS = (0, 1, 3, 4)  # spot, strike | volatility, maturity
+
+
 @dataclass(frozen=True, slots=True)
 class OptionArrays:
-    """Column view of a batch of contracts (one array per field).
+    """Column block of a batch of contracts: one ``(8, n)`` float64 array.
 
-    This is the structure-of-arrays form the vectorised parameter
-    builders and the batched pricing engine operate on; element ``i``
-    of every array describes ``options[i]``.
+    Rows follow :data:`OPTION_ROWS`; element ``i`` of every row
+    describes option ``i``.  This is the structure-of-arrays form the
+    request, the parameter builders and the pricing engine carry a
+    batch in, the host-side twin of the paper's one parameter buffer
+    per batch: slicing, concatenation, hashing and pickling are one
+    array operation each, and no per-option Python object exists
+    unless :meth:`to_options` is called.  Equality is bitwise.
     """
 
-    spot: np.ndarray
-    strike: np.ndarray
-    rate: np.ndarray
-    volatility: np.ndarray
-    maturity: np.ndarray
-    dividend_yield: np.ndarray
-    sign: np.ndarray
+    block: np.ndarray
 
     def __len__(self) -> int:
-        return self.spot.shape[0]
+        return self.block.shape[1]
 
+    def __getitem__(self, index) -> "OptionArrays":
+        """The sub-batch at ``index`` (a slice or an index array)."""
+        return OptionArrays(self.block[:, index])
 
-def _validate_columns(arrays: OptionArrays) -> None:
-    """Reject NaN/inf and non-positive market data, naming the index.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OptionArrays):
+            return NotImplemented
+        return (self.block.shape == other.block.shape
+                and self.block.tobytes() == other.block.tobytes())
 
-    :class:`Option` already validates at construction, but batches
-    assembled from feeds, deserialised rows or duck-typed contract
-    objects can bypass that — and one NaN spot silently poisons every
-    price in the chunk it lands in.  One vectorised pass per column
-    keeps the check O(n) with no Python-level loop in the clean case.
-    """
-    checks = (
-        ("spot", arrays.spot, True),
-        ("strike", arrays.strike, True),
-        ("volatility", arrays.volatility, True),
-        ("maturity", arrays.maturity, True),
-        ("rate", arrays.rate, False),
-        ("dividend_yield", arrays.dividend_yield, False),
-    )
-    for name, column, positive in checks:
-        bad = ~np.isfinite(column)
-        if positive:
-            bad |= column <= 0.0
-        if bad.any():
-            index = int(np.argmax(bad))
-            requirement = "finite and > 0" if positive else "finite"
-            raise FinanceError(
-                f"option {index}: {name} must be {requirement}, "
-                f"got {column[index]}"
-            )
+    __hash__ = None
+
+    spot = property(lambda self: self.block[0])
+    strike = property(lambda self: self.block[1])
+    rate = property(lambda self: self.block[2])
+    volatility = property(lambda self: self.block[3])
+    maturity = property(lambda self: self.block[4])
+    dividend_yield = property(lambda self: self.block[5])
+    sign = property(lambda self: self.block[6])
+    american = property(lambda self: self.block[7])
+
+    @classmethod
+    def from_options(cls, options) -> "OptionArrays":
+        """Gather a sequence of :class:`Option` into one block, unvalidated.
+
+        One C-level ``fromiter`` pass reads every option's eight
+        values; :func:`option_arrays` adds validation.
+        """
+        options = list(options)
+        call, american = OptionType.CALL, ExerciseStyle.AMERICAN
+        flat = np.fromiter(
+            chain.from_iterable(
+                (o.spot, o.strike, o.rate, o.volatility, o.maturity,
+                 o.dividend_yield, o.option_type is call,
+                 o.exercise is american) for o in options),
+            dtype=np.float64, count=len(OPTION_ROWS) * len(options))
+        block = flat.reshape(len(options), len(OPTION_ROWS)).T.copy()
+        block[6] = 2.0 * block[6] - 1.0  # is-call flag -> payoff sign
+        return cls(block)
+
+    def to_options(self) -> "tuple[Option, ...]":
+        """Materialise the batch as :class:`Option` objects (bitwise)."""
+        spot, strike, rate, vol, maturity, q, sign, american = (
+            self.block.tolist())
+        return tuple(
+            Option(spot=spot[i], strike=strike[i], rate=rate[i],
+                   volatility=vol[i], maturity=maturity[i],
+                   dividend_yield=q[i],
+                   option_type=(OptionType.CALL if sign[i] > 0
+                                else OptionType.PUT),
+                   exercise=(ExerciseStyle.AMERICAN if american[i]
+                             else ExerciseStyle.EUROPEAN))
+            for i in range(len(spot)))
+
+    def validate(self) -> "OptionArrays":
+        """Reject bad market data or codes, naming the option index.
+
+        :class:`Option` already validates at construction, but batches
+        assembled from feeds, deserialised rows or duck-typed contract
+        objects can bypass that — and one NaN spot silently poisons
+        every price in the chunk it lands in.  The clean case costs a
+        few whole-block array operations; only a failing block is
+        walked field by field to name the culprit.  Returns ``self``.
+        """
+        block = self.block
+        sign, american = block[6], block[7]
+        if (np.isfinite(block[:_FLOAT_ROWS]).all()
+                and (block[0:2] > 0.0).all() and (block[3:5] > 0.0).all()
+                and (sign * sign == 1.0).all()
+                and (american * american == american).all()):
+            return self
+        for row, name in enumerate(OPTION_ROWS[:_FLOAT_ROWS]):
+            column = block[row]
+            bad = ~np.isfinite(column)
+            positive = row in _POSITIVE_ROWS
+            if positive:
+                bad |= column <= 0.0
+            if bad.any():
+                index = int(np.argmax(bad))
+                requirement = "finite and > 0" if positive else "finite"
+                raise FinanceError(
+                    f"option {index}: {name} must be {requirement}, "
+                    f"got {column[index]}")
+        raise FinanceError(
+            "option codes must be sign +/-1 and american 0/1, got "
+            f"sign {block[6].tolist()} and american {block[7].tolist()}")
 
 
 def option_arrays(options) -> OptionArrays:
-    """Transpose a sequence of :class:`Option` into field arrays.
+    """The validated column block of ``options``.
 
-    Each field is gathered with a single C-level ``fromiter`` pass, so
-    building the columns for thousands of options never materialises a
-    per-option Python row.  Columns are validated on the way out —
+    A sequence of :class:`Option` is gathered
+    (:meth:`OptionArrays.from_options`) and validated on the way out —
     NaN/inf or non-positive spot, strike, volatility or maturity raise
     :class:`~repro.errors.FinanceError` naming the offending option
-    index, so bad market data is caught before it poisons a chunk.
+    index, so bad market data is caught before it poisons a chunk.  An
+    :class:`OptionArrays` passes through unchanged and unchecked; call
+    :meth:`OptionArrays.validate` where it matters (the engine checks
+    every chunk it prices).
     """
-    options = list(options)
-    n = len(options)
-
-    def column(getter) -> np.ndarray:
-        return np.fromiter((getter(o) for o in options), dtype=np.float64,
-                           count=n)
-
-    arrays = OptionArrays(
-        spot=column(lambda o: o.spot),
-        strike=column(lambda o: o.strike),
-        rate=column(lambda o: o.rate),
-        volatility=column(lambda o: o.volatility),
-        maturity=column(lambda o: o.maturity),
-        dividend_yield=column(lambda o: o.dividend_yield),
-        sign=column(lambda o: o.option_type.sign),
-    )
-    _validate_columns(arrays)
-    return arrays
+    if isinstance(options, OptionArrays):
+        return options
+    return OptionArrays.from_options(options).validate()
 
 
 def intrinsic_value(spot, strike, option_type: OptionType):

@@ -118,6 +118,10 @@ class Counter(_Metric):
         for key, value in other._values.items():
             self._values[key] = self._values.get(key, 0.0) + value
 
+    def reset(self) -> None:
+        """Back to a single unlabelled zero."""
+        self._values = {(): 0.0}
+
 
 class Gauge(_Metric):
     """A value that can go up and down (last write wins on merge)."""
@@ -147,6 +151,10 @@ class Gauge(_Metric):
 
     def merge_from(self, other: "Gauge") -> None:
         self._values.update(other._values)
+
+    def reset(self) -> None:
+        """Back to a single unlabelled zero."""
+        self._values = {(): 0.0}
 
 
 class Histogram(_Metric):
@@ -201,6 +209,12 @@ class Histogram(_Metric):
             self._counts[i] += count
         self._sum += other._sum
         self._count += other._count
+
+    def reset(self) -> None:
+        """No observations."""
+        self._counts = [0] * len(self._counts)
+        self._sum = 0.0
+        self._count = 0
 
 
 class MetricsRegistry:
@@ -288,12 +302,13 @@ class MetricsRegistry:
 
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry in (counters add, gauges overwrite)."""
-        for name in other.names():
-            theirs = other._metrics[name]
-            mine = self._get_or_create(
-                type(theirs), name, theirs.help,
-                **({"buckets": theirs.bounds}
-                   if isinstance(theirs, Histogram) else {}))
+        for name, theirs in other._metrics.items():
+            mine = self._metrics.get(name)
+            if type(mine) is not type(theirs):  # new here, or a clash
+                mine = self._get_or_create(
+                    type(theirs), name, theirs.help,
+                    **({"buckets": theirs.bounds}
+                       if isinstance(theirs, Histogram) else {}))
             mine.merge_from(theirs)
 
     def clear(self) -> None:
@@ -338,20 +353,28 @@ class LayerMetrics:
         self.registry = registry = MetricsRegistry()
         for key in self.layer.keys + self.layer.export:
             if key.kind == keys.COUNTER:
-                handle = registry.counter(key.metric, key.help)
-                handle.inc(0.0)
+                handle = Counter(key.metric, key.help)
+                handle.reset()
             elif key.kind == keys.GAUGE:
-                handle = registry.gauge(key.metric, key.help)
-                handle.set(0.0)
+                handle = Gauge(key.metric, key.help)
+                handle.reset()
             elif key.kind == keys.HISTOGRAM:
-                handle = registry.histogram(key.metric, key.help, key.buckets)
+                handle = Histogram(key.metric, key.help, key.buckets)
             else:
                 continue
+            registry._metrics[key.metric] = handle
             setattr(self, key.name, handle)
 
     def publish(self) -> None:
         """Merge this layer's registry into the process-wide registry."""
         get_registry().merge(self.registry)
+
+    def reset(self) -> None:
+        """Zero every family, so one object can scope run after run
+        (the engine keeps one per engine instead of building one per
+        run)."""
+        for metric in self.registry._metrics.values():
+            metric.reset()
 
 
 class Snapshot:
@@ -367,8 +390,11 @@ class Snapshot:
     __slots__ = ("layer", "_values")
 
     def __init__(self, layer: str, values: dict) -> None:
+        # one tuple in declared key order: a snapshot rides along with
+        # every result, so it holds no per-instance dict
         object.__setattr__(self, "layer", layer)
-        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_values", tuple(
+            values[name] for name in _KEY_INDEX[layer]))
 
     @classmethod
     def from_metrics(cls, metrics: LayerMetrics, **values) -> "Snapshot":
@@ -399,14 +425,13 @@ class Snapshot:
 
     def as_dict(self) -> dict:
         """JSON-ready snapshot: the layer's keys, in declared order."""
-        return dict(self._values)
+        return dict(zip(_KEY_INDEX[self.layer], self._values))
 
     def __getattr__(self, name: str):
         if not name.startswith("_"):
-            try:
-                return self._values[name]
-            except KeyError:
-                pass
+            index = _KEY_INDEX[self.layer].get(name)
+            if index is not None:
+                return self._values[index]
         raise AttributeError(
             f"{type(self).__name__} has no attribute {name!r}")
 
@@ -417,7 +442,7 @@ class Snapshot:
         raise AttributeError(f"{type(self).__name__} is frozen")
 
     def __reduce__(self):
-        return type(self), (self.layer, self._values)
+        return type(self), (self.layer, self.as_dict())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Snapshot):
@@ -425,11 +450,17 @@ class Snapshot:
         return self.layer == other.layer and self._values == other._values
 
     def __hash__(self) -> int:
-        return hash((self.layer, tuple(self._values.items())))
+        return hash((self.layer, self._values))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in self._values.items())
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items())
         return f"{type(self).__name__}[{self.layer}]({fields})"
+
+
+#: Position of each snapshot key in its layer's value tuple (keys in
+#: declared order).
+_KEY_INDEX = {name: {key: index for index, key in enumerate(layer.names)}
+              for name, layer in keys.LAYERS.items()}
 
 
 def parse_prometheus(text: str) -> "dict[str, float]":

@@ -8,9 +8,11 @@ determines the numbers:
 * the task and its numeric knobs (``bump_vol``/``bump_rate`` for
   greeks),
 * the lattice configuration (``kernel``, ``precision``, ``family``),
-* every option's fields — floats rendered with :meth:`float.hex` so
-  ``0.1`` and the nearest double hash identically but *any* ULP
-  difference changes the key — and its per-option tree depth.
+* the request's option column block
+  (:class:`~repro.finance.OptionArrays`), hashed as its raw float64
+  bytes — ``0.1`` and the nearest double hash identically, but *any*
+  ULP difference (``-0.0`` against ``0.0`` included) changes the key
+  — and every option's tree depth.
 
 ``strict``, ``workers`` and ``backend`` are deliberately excluded:
 they change how the caller sees failures and how fast the answer
@@ -52,31 +54,22 @@ __all__ = ["CacheEntry", "ResultCache", "request_key"]
 
 def request_key(request: PricingRequest) -> str:
     """Canonical content key of a request (hex blake2b digest)."""
-    parts = [
-        "repro-service-key/v1",
+    head = [
+        "repro-service-key/v2",
         request.task,
         request.kernel,
         request.precision,
         request.family.value,
+        str(len(request)),
     ]
     if request.task == "greeks":
-        parts.append(float(request.bump_vol).hex())
-        parts.append(float(request.bump_rate).hex())
-    steps = request.steps_per_option()
-    for option, depth in zip(request.options, steps):
-        parts.append("|".join((
-            float(option.spot).hex(),
-            float(option.strike).hex(),
-            float(option.rate).hex(),
-            float(option.volatility).hex(),
-            float(option.maturity).hex(),
-            float(option.dividend_yield).hex(),
-            str(option.option_type.value),
-            str(option.exercise.value),
-            str(int(depth)),
-        )))
-    digest = hashlib.blake2b("\n".join(parts).encode("utf-8"),
+        head.append(float(request.bump_vol).hex())
+        head.append(float(request.bump_rate).hex())
+    digest = hashlib.blake2b("\n".join(head).encode("utf-8"),
                              digest_size=20)
+    digest.update(np.ascontiguousarray(request.columns.block).tobytes())
+    digest.update(np.asarray(request.steps_per_option(),
+                             dtype=np.int64).tobytes())
     return digest.hexdigest()
 
 
@@ -95,8 +88,12 @@ class CacheEntry:
 
     @classmethod
     def freeze(cls, columns) -> "CacheEntry":
-        """An entry over an owned, write-protected copy of ``columns``
-        (safe to share across callers)."""
+        """An entry over a write-protected block of ``columns`` (safe to
+        share across callers): an owned copy, except that a read-only
+        float64 block — a service result's payload — is shared as is."""
+        if (isinstance(columns, np.ndarray) and not columns.flags.writeable
+                and columns.dtype == np.float64):
+            return cls(columns)
         block = np.array(columns, dtype=np.float64)
         block.setflags(write=False)
         return cls(block)

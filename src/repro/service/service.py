@@ -73,6 +73,8 @@ from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from ..api import (
     RESULT_COLUMNS,
     PricingRequest,
@@ -89,6 +91,7 @@ from ..errors import (
     ServiceError,
     ServiceOverloadedError,
 )
+from ..finance.options import OptionArrays
 from ..obs.metrics import LayerMetrics, Snapshot
 from ..obs.trace import as_tracer
 from .cache import CacheEntry, ResultCache, request_key
@@ -408,8 +411,7 @@ class PricingService:
     @staticmethod
     def _entry_result(entry: CacheEntry) -> ServiceResult:
         return ServiceResult(route="service", cache_hit=True,
-                             batch_options=0, wait_s=0.0,
-                             **dict(zip(RESULT_COLUMNS, entry.block)))
+                             batch_options=0, wait_s=0.0, block=entry.block)
 
     def _resolve(self, pending: _Pending, result: ServiceResult) -> None:
         """Apply the caller's ``strict`` flag and resolve one future."""
@@ -452,9 +454,13 @@ class PricingService:
         first, so the next identical request is a pure hit.
         """
         if not result.failures:
-            entry = CacheEntry.freeze(
-                [array for column in RESULT_COLUMNS
-                 if (array := getattr(result, column)) is not None])
+            block = result.block
+            if self._chaos is not None:
+                # chaos flips stored bits in place; its own copy keeps
+                # the corruption inside the cache, where verify must
+                # catch it, instead of in the callers' shared result
+                block = block.copy()
+            entry = CacheEntry.freeze(block)
             evicted = self._cache.put(pending.key, entry)
             if evicted:
                 self.metrics.cache_evictions.inc(float(evicted))
@@ -565,22 +571,30 @@ class PricingService:
     def _merge(self, entries: "list[_Pending]") -> PricingRequest:
         """One engine-shaped request covering every bucket entry.
 
-        Entries share a ``batch_key``, so kernel/precision/family/task
-        (and greeks bumps) agree; options are concatenated and depths
+        A lone entry's request runs as is.  Otherwise entries share a
+        ``batch_key``, so kernel/precision/family/task (and greeks
+        bumps) agree; their column blocks are concatenated and depths
         carried per option (``group_stream`` regroups heterogeneous
-        depths inside the run).  Always ``strict=False`` — failures
-        must come back as records to be scoped per request.
+        depths inside the run).  ``strict`` never matters here:
+        :func:`~repro.api.run_request` records failures instead of
+        raising, and each caller's own flag is applied when its slice
+        of the result is resolved.
         """
         first = entries[0].request
-        options: "list" = []
+        if len(entries) == 1:
+            return first
         steps: "list[int]" = []
         for pending in entries:
-            options.extend(pending.request.options)
             steps.extend(pending.request.steps_per_option())
         steps_spec: "int | tuple[int, ...]" = (
             steps[0] if len(set(steps)) == 1 else tuple(steps))
+        columns = OptionArrays(np.concatenate(
+            [pending.request.columns.block for pending in entries], axis=1))
+        # joined from request blocks: read-only, so the merged request
+        # shares it instead of copying and re-vetting it
+        columns.block.setflags(write=False)
         return PricingRequest(
-            options=tuple(options), steps=steps_spec, kernel=first.kernel,
+            columns=columns, steps=steps_spec, kernel=first.kernel,
             precision=first.precision, family=first.family, task=first.task,
             strict=False, backend=first.backend,
             bump_vol=first.bump_vol, bump_rate=first.bump_rate)
@@ -735,7 +749,7 @@ class PricingService:
     def _flush_individually(self, entries: "list[_Pending]",
                             flush_start: float, span) -> None:
         for pending in entries:
-            single = replace(pending.request, strict=False)
+            single = pending.request
             deadline_s = None
             if pending.deadline is not None:
                 deadline_s = max(pending.deadline - time.monotonic(), 1e-3)

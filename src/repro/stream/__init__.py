@@ -14,6 +14,7 @@ against :func:`full_repricing_oracle`.
 
 from .book import (
     AGGREGATE_COLUMNS,
+    DirtyBatch,
     Position,
     PositionBook,
     RiskAggregate,
@@ -38,6 +39,7 @@ from .ticks import (
 __all__ = [
     "AGGREGATE_COLUMNS",
     "AggregateUpdate",
+    "DirtyBatch",
     "Position",
     "PositionBook",
     "ReplayTickSource",

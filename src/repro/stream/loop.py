@@ -4,9 +4,10 @@
 :class:`~repro.stream.PositionBook` and the in-process
 :class:`~repro.service.PricingService`: ticks move the book's live
 inputs, the tolerance gate marks instruments dirty, and every
-``batch_ticks`` ticks the runner drains the dirty set into **one**
-coalesced greeks/price :class:`~repro.api.PricingRequest`, commits the
-results, and publishes a sequence-numbered portfolio aggregate
+``batch_ticks`` ticks the runner drains the dirty set's contract
+columns into **one** greeks/price :class:`~repro.api.PricingRequest`
+(no per-option object on the way), commits the result rows, and
+publishes a sequence-numbered portfolio aggregate
 (:class:`AggregateUpdate`).  The service's content-keyed cache
 invalidates moved instruments for free — a moved input is a new
 request key — while unmoved neighbours that re-enter a batch hit it.
@@ -55,7 +56,13 @@ class StreamConfig:
         ``"price"`` publishes portfolio value only (greeks columns
         aggregate to 0.0).
     :param batch_ticks: revalue after this many applied ticks (and
-        always once more at end of stream).
+        always once more at end of stream).  The wait for the batch to
+        fill is most of the tick-to-risk latency, and each revaluation
+        pays a fixed cost (request, service hop, engine run, aggregate)
+        on top of its per-instrument work; the default of 3 is the
+        smallest batch whose instruments/s stays near what eight-tick
+        batches reached before requests were columnar
+        (``docs/streaming.md`` has the measured trade).
     :param reval_timeout_s: how long to wait on one revaluation batch.
     """
 
@@ -64,7 +71,7 @@ class StreamConfig:
     family: LatticeFamily = LatticeFamily.CRR
     backend: str = "auto"
     task: str = "greeks"
-    batch_ticks: int = 8
+    batch_ticks: int = 3
     reval_timeout_s: float = 60.0
 
     def __post_init__(self):
@@ -202,29 +209,20 @@ class StreamRunner:
         Returns ``None`` (and publishes nothing) when nothing is
         dirty — a no-op heartbeat, not an error.
         """
-        drained = self.book.drain_dirty()
-        if not drained:
+        batch = self.book.drain_dirty()
+        if not batch:
             return None
-        options = tuple(option for _name, option, _steps in drained)
-        steps = tuple(depth for _name, _option, depth in drained)
-        steps_spec = steps[0] if len(set(steps)) == 1 else steps
         request = PricingRequest(
-            options=options, steps=steps_spec,
+            columns=batch.columns, steps=batch.steps,
             kernel=self.config.kernel, precision=self.config.precision,
             family=self.config.family, task=self.config.task,
             strict=True, backend=self.config.backend)
         result = self.service.submit(request).result(
             timeout=self.config.reval_timeout_s)
-        for index, (name, option, _depth) in enumerate(drained):
-            greek_values = None
-            if self.config.task == "greeks":
-                greek_values = {column: float(getattr(result, column)[index])
-                                for column in GREEKS_COLUMNS}
-            self.book.commit(name, option, float(result.prices[index]),
-                             greek_values)
-        self.metrics.revaluations.inc(float(len(drained)))
+        self.book.commit(batch, result.block)
+        self.metrics.revaluations.inc(float(len(batch)))
         self.metrics.reval_batches.inc()
-        return self._publish(len(drained))
+        return self._publish(len(batch))
 
     def _publish(self, repriced: int) -> AggregateUpdate:
         columns = self.book.aggregate()

@@ -81,12 +81,13 @@ class TestSpanTree:
 
     def test_serial_chunk_spans_cover_wall_time(self, batch):
         # deep enough that pricing dominates the fixed planning
-        # overhead; the acceptance bound is 10% on serial runs
+        # overhead (about 0.15 ms a run, more in a cold process); the
+        # acceptance bound is 10% on serial runs
         tracer = Tracer()
         with PricingEngine(kernel="iv_b",
                            config=EngineConfig(chunk_options=8),
                            tracer=tracer) as engine:
-            result = engine.run(batch, 512)
+            result = engine.run(batch, 1024)
         covered = chunk_span_seconds(tracer.as_dicts()[0])
         assert covered == pytest.approx(result.stats.wall_time_s, rel=0.10)
 

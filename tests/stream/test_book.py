@@ -29,10 +29,9 @@ def _book(tolerances=None, n=2):
 
 def _price_all(book):
     """Commit a dummy valuation for every drained instrument."""
-    for name, option, _steps in book.drain_dirty():
-        book.commit(name, option, 1.0, {"delta": -0.5, "gamma": 0.02,
-                                        "theta": -3.0, "vega": 30.0,
-                                        "rho": -40.0})
+    batch = book.drain_dirty()
+    greeks = (1.0, -0.5, 0.02, -3.0, 30.0, -40.0)  # value, delta .. rho
+    book.commit(batch, [[value] * len(batch) for value in greeks])
 
 
 class TestTolerance:
@@ -92,11 +91,11 @@ class TestDirtyMarking:
         book.apply(Tick("id-0", "spot", 123.0, 0.001))
         drained = book.drain_dirty()
         assert len(drained) == 1
-        name, option, steps = drained[0]
-        assert (name, steps) == ("id-0", 16)
-        assert option.spot == 123.0
+        assert (drained.ids, drained.steps) == (("id-0",), 16)
+        assert drained.columns.spot.tolist() == [123.0]
+        assert drained.columns.to_options()[0].spot == 123.0
         assert book.dirty_ids() == ()
-        assert book.drain_dirty() == []
+        assert len(book.drain_dirty()) == 0
 
     def test_material_move_marks_clean_instrument(self):
         book = _book(n=1)
@@ -126,14 +125,15 @@ class TestCommitAndAggregate:
     def test_commit_promotes_effective(self):
         book = _book(n=1)
         book.apply(Tick("id-0", "spot", 111.0, 0.001))
-        name, option, _steps = book.drain_dirty()[0]
-        book.commit(name, option, 2.5)
+        book.commit(book.drain_dirty(), [2.5])
         assert book.effective_inputs("id-0")["spot"] == 111.0
         assert book.effective_option("id-0").spot == 111.0
 
     def test_commit_unknown_instrument(self):
+        other = PositionBook()
+        other.add(Position("ghost", _option()))
         with pytest.raises(StreamError, match="unknown instrument"):
-            _book().commit("ghost", _option(), 1.0)
+            _book().commit(other.drain_dirty(), [1.0])
 
     def test_aggregate_before_pricing_raises(self):
         with pytest.raises(StreamError, match="never priced"):
@@ -149,8 +149,7 @@ class TestCommitAndAggregate:
 
     def test_price_only_commit_zeroes_greeks(self):
         book = _book(n=1)
-        name, option, _steps = book.drain_dirty()[0]
-        book.commit(name, option, 4.0, greeks=None)
+        book.commit(book.drain_dirty(), [4.0])
         out = book.aggregate()
         assert out["value"] == 4.0
         assert all(out[column] == 0.0

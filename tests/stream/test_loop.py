@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 from repro.engine import EngineConfig
-from repro.engine.faults import FaultPlan
 from repro.errors import StreamError
 from repro.finance import generate_batch
 from repro.service import PricingService, ServiceConfig
@@ -145,39 +144,8 @@ class TestReplayDeterminism:
 
 
 class TestOracleParity:
-    def test_every_aggregate_matches_oracle_bitwise(self):
-        book = _book()
-        checked = []
-
-        def verify(update):
-            oracle = full_repricing_oracle(book, CONFIG)
-            assert tuple(oracle) == AGGREGATE_COLUMNS
-            for column in AGGREGATE_COLUMNS:
-                assert oracle[column].hex() == update.columns[column].hex()
-            checked.append(update.seq)
-
-        with PricingService(_service_config()) as service:
-            runner = StreamRunner(book, service, config=CONFIG,
-                                  on_aggregate=verify)
-            updates = runner.process(_source(book))
-        assert checked == [u.seq for u in updates]
-
-    @pytest.mark.parametrize("fault_seed", [101, 202, 303])
-    def test_parity_holds_under_transient_faults(self, fault_seed):
-        *_, calm = _run()
-        faults = FaultPlan.random(fault_seed, N_INSTRUMENTS)
-        book = _book()
-
-        def verify(update):
-            oracle = full_repricing_oracle(book, CONFIG)
-            for column in AGGREGATE_COLUMNS:
-                assert oracle[column].hex() == update.columns[column].hex()
-
-        with PricingService(_service_config(faults=faults)) as service:
-            runner = StreamRunner(book, service, config=CONFIG,
-                                  on_aggregate=verify)
-            updates = runner.process(_source(book))
-        assert _fingerprints(updates) == _fingerprints(calm)
+    # greeks-task parity against the oracle, with and without fault
+    # seeds, is tests/test_differential.py::test_stream_aggregates_match_the_oracle
 
     def test_price_task_publishes_value_only(self):
         config = StreamConfig(kernel="iv_b", backend="numpy",
@@ -245,7 +213,7 @@ class TestToleranceGating:
         for position in book.positions():
             name = position.instrument_id
             live, eff = book.live_inputs(name), book.effective_inputs(name)
-            values = book._slots[name].values  # per-instrument greeks
+            values = book.values(name)  # per-instrument greeks
             bound += abs(position.quantity) * (
                 abs(values["delta"]) * abs(live["spot"] - eff["spot"])
                 + abs(values["vega"]) * abs(live["volatility"]

@@ -385,6 +385,16 @@ class TestSweepCommand:
         assert len(document["entries"]) == 2
         assert document["pareto_cells"]
 
+    def test_zero_workers_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "run", "--spec", "steps-precision",
+                  "--store", str(tmp_path / "s.jsonl"), "--workers", "0"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --workers: must be >= 1, got 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s.jsonl").exists()
+
     def test_unknown_spec_is_a_sweep_error(self, capsys, tmp_path):
         code = main(["sweep", "run", "--spec", "no-such-spec",
                      "--store", str(tmp_path / "run.jsonl")])

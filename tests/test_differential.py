@@ -8,7 +8,10 @@ in-process :class:`~repro.service.PricingService` and a one-shard
 result must equal a plain NumPy-backend :class:`PricingEngine` run of
 the request bit for bit, with and without a seeded fault plan whose
 transient faults heal on retry.  A one-cell sweep is held to the same
-contract through the digest its store records.
+contract through the digest its store records, and a ticking position
+book through the same service: every aggregate the
+:class:`~repro.stream.StreamRunner` publishes must equal
+:func:`~repro.stream.full_repricing_oracle` of the book bit for bit.
 """
 
 from types import SimpleNamespace
@@ -25,6 +28,9 @@ from repro.obs import keys
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serve import PricingServer, ServeClient, ServeConfig
 from repro.service import PricingService, ServiceConfig
+from repro.stream import (AGGREGATE_COLUMNS, Position, PositionBook,
+                          StreamConfig, StreamRunner, SyntheticTickSource,
+                          full_repricing_oracle)
 from repro.sweep import SweepRunner, SweepSpec
 from repro.sweep.runner import _cell_options, _digest_result
 
@@ -167,3 +173,52 @@ def test_sweep_cell_matches_the_engine(tmp_path, numpy_reference,
         kernel=condition["kernel"], task=condition["task"], strict=False))
     assert row.result["prices_blake2b"] == _digest_result(
         SimpleNamespace(**expected))
+
+
+#: Books of one position, a handful, the stream-risk workload's 256
+#: and one past it; revaluations every tick, every few and every eight.
+STREAM_BOOK_SIZES = (1, 7, 256, 257)
+STREAM_BATCH_TICKS = (1, 4, 8)
+#: Ticks streamed per case: enough for several revaluations at every
+#: batch size while the oracle reprices the whole book after each one.
+STREAM_TICKS = 24
+
+
+def stream_book(positions: int) -> PositionBook:
+    options = generate_batch(n_options=positions, seed=900 + positions).options
+    rng = np.random.default_rng(positions)
+    book = PositionBook()
+    for index, option in enumerate(options):
+        quantity = rng.uniform(1.0, 10.0) * (-1.0 if index % 4 == 3 else 1.0)
+        # mixed depths exercise the per-option steps path end to end
+        book.add(Position(f"pos-{index:04d}", option, quantity=quantity,
+                          steps=STEPS + index % 3))
+    return book
+
+
+@pytest.mark.parametrize("batch_ticks", STREAM_BATCH_TICKS,
+                         ids=lambda ticks: f"batch-{ticks}")
+@pytest.mark.parametrize("positions", STREAM_BOOK_SIZES,
+                         ids=lambda n: f"book-{n}")
+def test_stream_aggregates_match_the_oracle(fronts, positions, batch_ticks):
+    _seed, service, _client = fronts
+    book = stream_book(positions)
+    config = StreamConfig(batch_ticks=batch_ticks)
+    initial = {p.instrument_id: (p.option.spot, p.option.volatility,
+                                 p.option.rate) for p in book.positions()}
+    source = SyntheticTickSource(initial, seed=positions + batch_ticks,
+                                 n_steps=STREAM_TICKS // positions + 1)
+    checked = []
+
+    def verify(update):
+        oracle = full_repricing_oracle(book, config)
+        for column in AGGREGATE_COLUMNS:
+            assert update.columns[column].hex() == oracle[column].hex(), (
+                f"aggregate {update.seq} column {column}")
+        checked.append(update.seq)
+
+    runner = StreamRunner(book, service, config=config, on_aggregate=verify)
+    updates = runner.process(list(source)[:STREAM_TICKS])
+    assert checked == [update.seq for update in updates]
+    assert len(updates) >= STREAM_TICKS // (batch_ticks + 1)
+
